@@ -10,6 +10,10 @@ and the charge gap detects when all remaining steps act as the identity,
 which both stops the forward walk soundly and skips inert stages of the
 inverse walk.
 
+Both walks are the one stage generator `walk`: psi_tilde and
+psi_tilde_inverse keep only where it ends, and the CLI renders every
+stage of it.
+
 All maps here are total on beta-sets / bipartitions; their crystal meaning
 (commuting with the operators of mullineux.level2) only holds on Uglov
 bipartitions, which is a tested property, not an input check.
@@ -17,10 +21,15 @@ bipartitions, which is a tested property, not an input check.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from mullineux._core import kernels
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
 from mullineux.level2 import Bicharge, Bipartition, rank2, stable_shift
 from mullineux.partitions import beta_set, partition_from_beta_set
+
+# (stage bicharge, bipartition before the step, after it or None if skipped)
+Stage = tuple[Bicharge, Bipartition, Bipartition | None]
 
 
 def matching_pairs(x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -110,9 +119,8 @@ def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition, m: int | Non
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
     if m is None:
-        m = max(1 - s1, len(blam[0]) - s1, len(blam[1]) - s2)
-    y1 = beta_set(blam[0], m + s1)
-    y2 = beta_set(blam[1], m + s2 + e)
+        m = minimal_padding(blam, s)
+    y1, y2 = encode_bipartition(blam, (s1, s2 + e), m)
     x1, x2 = psi_step_inverse(e, y1, y2)
     return partition_from_beta_set(x1), partition_from_beta_set(x2)
 
@@ -130,43 +138,61 @@ def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
     return first - 1 + s[0] <= s[1] - h
 
 
+def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Iterator[Stage]:
+    """The stages of the stabilized isomorphism walk from blam at bicharge s.
+
+    Yields (stage, before, after), where stage is the bicharge the step is
+    taken at and after is None at a stage where shortcut_applies, which is
+    an identity.  The forward walk steps upward from s and ends with its
+    first shortcut stage: from there on every step is the identity.  It
+    always terminates because steps preserve the rank n, which bounds the
+    first part and the part count, while the charge gap grows by e each
+    step; the shortcut inequality is forced once the gap exceeds 2n.
+
+    The inverse walk starts above the charge gap 2n, where stages are
+    provably inert for every bipartition of rank n, and yields all
+    stable_shift(s, n, e) stages down to s itself; the first stage where
+    the shortcut fails is inverted for real, and so on.
+    """
+    s1, s2 = s
+    if s1 > s2:
+        raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
+    cur = blam
+    if inverse:
+        for j in range(stable_shift(s, rank2(blam), e) - 1, -1, -1):
+            stage = (s1, s2 + j * e)
+            if shortcut_applies(cur, stage):
+                yield stage, cur, None
+            else:
+                nxt = psi_bipartition_inverse(e, stage, cur)
+                yield stage, cur, nxt
+                cur = nxt
+        return
+    stage = (s1, s2)
+    while not shortcut_applies(cur, stage):
+        nxt = psi_bipartition(e, stage, cur)
+        yield stage, cur, nxt
+        cur = nxt
+        stage = (s1, stage[1] + e)
+    yield stage, cur, None
+
+
+def walk_image(blam: Bipartition, stages: Iterable[Stage]) -> Bipartition:
+    """Where a run of stages starting at blam ends (blam itself if it is empty)."""
+    for _, before, after in stages:
+        blam = before if after is None else after
+    return blam
+
+
 def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     """Compose steps from bicharge s upward into the stabilized regime.
 
-    The walk stops as soon as shortcut_applies: from there on every step is
-    the identity, so the composite already equals the fully stabilized map.
-    The loop always terminates because steps preserve the rank n, which
-    bounds the first part and the part count, while the charge gap grows by
-    e each step; the shortcut inequality is forced once the gap exceeds 2n.
     On Uglov bipartitions of (e, s) this computes the stabilized
     isomorphism onto Kleshchev bipartitions.
     """
-    s1, s2 = s
-    if s1 > s2:
-        raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    cur = blam
-    while not shortcut_applies(cur, (s1, s2)):
-        cur = psi_bipartition(e, (s1, s2), cur)
-        s2 += e
-    return cur
+    return walk_image(blam, walk(e, s, blam))
 
 
 def psi_tilde_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
-    """Inverse of psi_tilde: walk from the stabilized world down to s.
-
-    The walk starts above the charge gap 2n, where stages are provably
-    inert for every bipartition of rank n.  Stages where shortcut_applies
-    at the stage bicharge are skipped as identities; the first stage where
-    it fails is inverted for real, and so on down to s itself.
-    """
-    s1, s2 = s
-    if s1 > s2:
-        raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    k = stable_shift(s, rank2(blam), e)
-    cur = blam
-    for j in range(k - 1, -1, -1):
-        stage = (s1, s2 + j * e)
-        if shortcut_applies(cur, stage):
-            continue
-        cur = psi_bipartition_inverse(e, stage, cur)
-    return cur
+    """Inverse of psi_tilde: walk from the stabilized world down to s."""
+    return walk_image(blam, walk(e, s, blam, inverse=True))

@@ -20,10 +20,10 @@ import json
 import os
 import sys
 
-from mullineux import betamaps, engine, level1, level2
+from mullineux import betamaps, engine, level1
 from mullineux.schema import SCHEMA_VERSION
 from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError
-from mullineux.partitions import Partition
+from mullineux.partitions import Partition, format_partition, parse_partition
 
 DEFAULT_E_LIST = "2,3,4,5"
 
@@ -34,29 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if text in ("", "-"):
-        return ()
-    parts = []
-    for chunk in text.split(","):
-        try:
-            p = int(chunk)
-        except ValueError:
-            raise ValueError(f"bad partition entry {chunk!r}") from None
-        parts.append(p)
-    for i, p in enumerate(parts):
-        if p <= 0:
-            raise ValueError(f"partition parts must be positive, got {p}")
-        if i > 0 and parts[i - 1] < p:
-            raise ValueError(f"partition must be weakly decreasing, got {text!r}")
-    return tuple(parts)
-
-
-def format_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam) if lam else "-"
 
 
 def parse_bipartition(text: str) -> tuple[Partition, Partition]:
@@ -77,7 +54,10 @@ def parse_int_list(text: str) -> list[int]:
 def _default_jobs() -> int:
     env = os.environ.get("MULLINEUX_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"MULLINEUX_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -168,72 +148,40 @@ def _symbol(blam, s, e_shift=0, m=None) -> list[dict]:
     ]
 
 
+def _step_doc(e: int, inverse: bool, stage, before, after) -> dict:
+    """One walk stage as JSON: both symbols, or a marker for a skipped stage."""
+    if after is None:
+        return {"charges": list(stage), "identity": True, "shortcut": True}
+    # an inverse step reads its input at (s1, s2 + e); display it with the
+    # padding the step works at
+    m = betamaps.minimal_padding(before, stage) if inverse else None
+    shift_in, shift_out = (e, 0) if inverse else (0, e)
+    return {
+        "charges": list(stage),
+        "input": _symbol(before, stage, shift_in, m),
+        "output": _symbol(after, stage, shift_out, m),
+        "identity": after == before,
+    }
+
+
 def cmd_psi(args) -> int:
-    s1, s2 = parse_int_list(args.charges)
+    charges = parse_int_list(args.charges)
+    if len(charges) != 2:
+        raise ValueError(f"--charges takes two comma-separated ints s1,s2, got {args.charges!r}")
+    s1, s2 = s = tuple(charges)
     if s1 > s2:
         print("mullineux: error: charges must satisfy s1 <= s2", file=sys.stderr)
         return 1
     e = args.e
     blam = parse_bipartition(args.bipartition)
-    steps = []
-    if not args.to_dominant:
-        if args.inverse:
-            # display with the same padding the inverse step works at
-            m = max(1 - s1, len(blam[0]) - s1, len(blam[1]) - s2)
-            image = betamaps.psi_bipartition_inverse(e, (s1, s2), blam)
-            steps.append(
-                {
-                    "charges": [s1, s2 + e],
-                    "input": _symbol(blam, (s1, s2), e_shift=e, m=m),
-                    "output": _symbol(image, (s1, s2), m=m),
-                    "identity": image == blam,
-                }
-            )
-        else:
-            image = betamaps.psi_bipartition(e, (s1, s2), blam)
-            steps.append(
-                {
-                    "charges": [s1, s2],
-                    "input": _symbol(blam, (s1, s2)),
-                    "output": _symbol(image, (s1, s2), e_shift=e),
-                    "identity": image == blam,
-                }
-            )
-    elif args.inverse:
-        image = blam
-        k = level2.stable_shift((s1, s2), level2.rank2(blam), e)
-        for j in range(k - 1, -1, -1):
-            stage = (s1, s2 + j * e)
-            if betamaps.shortcut_applies(image, stage):
-                steps.append({"charges": list(stage), "identity": True, "shortcut": True})
-                continue
-            m = max(1 - stage[0], len(image[0]) - stage[0], len(image[1]) - stage[1])
-            nxt = betamaps.psi_bipartition_inverse(e, stage, image)
-            steps.append(
-                {
-                    "charges": list(stage),
-                    "input": _symbol(image, stage, e_shift=e, m=m),
-                    "output": _symbol(nxt, stage, m=m),
-                    "identity": nxt == image,
-                }
-            )
-            image = nxt
+    if args.to_dominant:
+        stages = list(betamaps.walk(e, s, blam, args.inverse))
     else:
-        image = blam
-        s2cur = s2
-        while not betamaps.shortcut_applies(image, (s1, s2cur)):
-            nxt = betamaps.psi_bipartition(e, (s1, s2cur), image)
-            steps.append(
-                {
-                    "charges": [s1, s2cur],
-                    "input": _symbol(image, (s1, s2cur)),
-                    "output": _symbol(nxt, (s1, s2cur), e_shift=e),
-                    "identity": nxt == image,
-                }
-            )
-            image = nxt
-            s2cur += e
-        steps.append({"charges": [s1, s2cur], "identity": True, "shortcut": True})
+        step = betamaps.psi_bipartition_inverse if args.inverse else betamaps.psi_bipartition
+        stages = [(s, blam, step(e, s, blam))]
+    steps = [_step_doc(e, args.inverse, *stage) for stage in stages]
+    if args.inverse and not args.to_dominant:
+        steps[0]["charges"] = [s1, s2 + e]  # a lone inverse step names its input's bicharge
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "psi",
@@ -244,7 +192,7 @@ def cmd_psi(args) -> int:
             "inverse": args.inverse,
             "to_dominant": args.to_dominant,
         },
-        "results": {"image": format_bipartition(image), "steps": steps},
+        "results": {"image": format_bipartition(betamaps.walk_image(blam, stages)), "steps": steps},
     }
     _emit(doc)
     return 0
@@ -344,9 +292,9 @@ def main(argv=None) -> int:
     if getattr(args, "e", None) is not None and isinstance(args.e, int) and args.e < 2:
         print("mullineux: error: modulus must be at least 2", file=sys.stderr)
         return 1
-    if hasattr(args, "jobs") and args.jobs is None:
-        args.jobs = _default_jobs()
     try:
+        if hasattr(args, "jobs") and args.jobs is None:
+            args.jobs = _default_jobs()
         return args.func(args)
     except ValueError as exc:
         print(f"mullineux: error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from mullineux.partitions import (
     conjugate,
     enumerate_e_regular,
     enumerate_partitions,
+    format_partition,
     is_e_core,
     is_e_regular,
 )
@@ -134,10 +135,6 @@ class SweepReport:
         return doc
 
 
-def _format_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam) if lam else "-"
-
-
 def _run_buckets(worker, args, jobs: int):
     if jobs > 1 and len(args) > 1:
         with Pool(processes=jobs) as pool:
@@ -163,7 +160,7 @@ def _conjecture_bucket(arg):
             failures.append(
                 {
                     "e": e,
-                    "partition": _format_partition(lam),
+                    "partition": format_partition(lam),
                     "beta_set": list(x),
                     "k": step.k,
                     "missing": sorted(set(step.x1) - set(step.x2)),
@@ -222,16 +219,16 @@ class MullineuxTrace:
     def to_dict(self) -> dict:
         doc = {
             "modulus": self.modulus,
-            "partition": _format_partition(self.partition),
+            "partition": format_partition(self.partition),
             "base_case": self.base_case,
-            "image": _format_partition(self.image) if self.image is not None else None,
+            "image": format_partition(self.image) if self.image is not None else None,
         }
         if self.oracle_fallback:
             doc["oracle_fallback"] = True
         if self.mu is not None:
-            doc["mu"] = [_format_partition(p) for p in self.mu]
+            doc["mu"] = [format_partition(p) for p in self.mu]
         if self.nu is not None:
-            doc["nu"] = [_format_partition(p) for p in self.nu]
+            doc["nu"] = [format_partition(p) for p in self.nu]
         if self.children:
             doc["children"] = [c.to_dict() for c in self.children]
         return doc
@@ -322,7 +319,7 @@ def _cross_validate_bucket(arg):
     depth_exceeded = 0
     for lam in enumerate_e_regular(n, e):
         checked += 1
-        name = _format_partition(lam)
+        name = format_partition(lam)
         oracle = kernels.mullineux(lam, e)
         try:
             recursive, _ = mullineux_conjectural(lam, e, depth_limit=depth_limit)
@@ -332,8 +329,8 @@ def _cross_validate_bucket(arg):
                         "e": e,
                         "partition": name,
                         "kind": "mullineux_mismatch",
-                        "oracle": _format_partition(oracle),
-                        "recursive": _format_partition(recursive),
+                        "oracle": format_partition(oracle),
+                        "recursive": format_partition(recursive),
                     }
                 )
         except ConjectureViolationError as exc:
@@ -359,8 +356,8 @@ def _cross_validate_bucket(arg):
                     "e": e,
                     "partition": name,
                     "kind": "isomorphism_mismatch",
-                    "at_2e": [_format_partition(p) for p in double],
-                    "at_e": [_format_partition(p) for p in single],
+                    "at_2e": [format_partition(p) for p in double],
+                    "at_e": [format_partition(p) for p in single],
                 }
             )
     return f"e={e},n={n}", checked, failures, depth_exceeded, time.perf_counter() - t0

@@ -30,6 +30,32 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return t
 
 
+def parse_partition(text: str) -> Partition:
+    """Read the wire format: comma-separated weakly decreasing positive ints.
+
+    "" and "-" both stand for the empty partition.  Parsing is strict, so
+    malformed input fails with ValueError instead of being reordered.
+    """
+    text = text.strip()
+    if text in ("", "-"):
+        return ()
+    parts = []
+    for chunk in text.split(","):
+        try:
+            parts.append(int(chunk))
+        except ValueError:
+            raise ValueError(f"bad partition entry {chunk!r}") from None
+    lam = as_partition(parts)
+    if len(lam) != len(parts):  # as_partition dropped trailing zeros
+        raise ValueError("partition parts must be positive, got 0")
+    return lam
+
+
+def format_partition(lam: Partition) -> str:
+    """Write the wire format read by parse_partition ("-" for the empty partition)."""
+    return ",".join(str(p) for p in lam) if lam else "-"
+
+
 def rank(lam: Partition) -> int:
     return sum(lam)
 

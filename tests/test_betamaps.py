@@ -21,15 +21,17 @@ from mullineux.betamaps import (
     psi_tilde,
     psi_tilde_inverse,
     shortcut_applies,
+    walk,
 )
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
 from mullineux.level2 import (
     f_tilde2,
     is_very_dominant,
     rank2,
+    stable_shift,
     uglov_bipartitions,
 )
-from mullineux.partitions import enumerate_e_regular
+from mullineux.partitions import enumerate_bipartitions, enumerate_e_regular
 
 from conftest import beta_sets
 
@@ -163,8 +165,6 @@ def test_psi_bipartition_encoding_matches_published_symbol():
 def test_psi_bipartition_rank_and_padding_independence():
     for e, s in [(2, (0, 0)), (3, (0, 2)), (6, (0, 3))]:
         for n in range(9):
-            from mullineux.partitions import enumerate_bipartitions
-
             for blam in enumerate_bipartitions(n):
                 base = psi_bipartition(e, s, blam)
                 assert rank2(base) == n
@@ -174,8 +174,6 @@ def test_psi_bipartition_rank_and_padding_independence():
 
 
 def test_psi_bipartition_inverse_round_trip():
-    from mullineux.partitions import enumerate_bipartitions
-
     for e, s in [(2, (0, 0)), (3, (0, 2)), (6, (0, 3))]:
         for n in range(9):
             for blam in enumerate_bipartitions(n):
@@ -238,8 +236,6 @@ def test_shortcut_pinned():
 
 
 def test_shortcut_implies_identity_forever():
-    from mullineux.partitions import enumerate_bipartitions
-
     for e, s2 in [(2, 3), (3, 4)]:
         for n in range(8):
             for blam in enumerate_bipartitions(n):
@@ -265,6 +261,49 @@ def test_psi_tilde_pinned():
         psi_tilde_inverse(3, (1, 0), ((), ()))
 
 
+WALK_GRID = [(2, (0, 0)), (2, (-1, 2)), (3, (0, 1)), (4, (1, 1))]
+
+
+def test_forward_walk_stages():
+    for e, s in WALK_GRID:
+        for n in range(6):
+            for blam in enumerate_bipartitions(n):
+                stages = list(walk(e, s, blam))
+                # s2 advances by e per stage, and only the last stage is a shortcut
+                assert [stage for stage, _, _ in stages] == [
+                    (s[0], s[1] + k * e) for k in range(len(stages))
+                ]
+                assert [after is None for _, _, after in stages] == [False] * (len(stages) - 1) + [True]
+                assert stages[0][1] == blam
+                for (_, _, after), (_, before, _) in zip(stages, stages[1:]):
+                    assert before == after
+                assert stages[-1][1] == psi_tilde(e, s, blam)
+
+
+def test_inverse_walk_stages():
+    for e, s in WALK_GRID:
+        for n in range(6):
+            for blam in enumerate_bipartitions(n):
+                stages = list(walk(e, s, blam, inverse=True))
+                k = stable_shift(s, rank2(blam), e)
+                # every stage from the stabilized gap down to s, none skipped
+                assert [stage for stage, _, _ in stages] == [
+                    (s[0], s[1] + j * e) for j in range(k - 1, -1, -1)
+                ]
+                cur = blam
+                for stage, before, after in stages:
+                    assert before == cur
+                    assert (after is None) == shortcut_applies(before, stage)
+                    cur = before if after is None else after
+                assert cur == psi_tilde_inverse(e, s, blam)
+
+
+def test_walk_checks_charge_order_when_iterated():
+    stages = walk(3, (1, 0), ((), ()))
+    with pytest.raises(ChargeOrderError):
+        next(stages)
+
+
 def test_psi_tilde_round_trip_on_members():
     for e, s in [(2, (0, 0)), (3, (0, 1)), (3, (0, 2))]:
         for blam in uglov_bipartitions(e, s, 8):
@@ -274,8 +313,6 @@ def test_psi_tilde_round_trip_on_members():
 
 
 def test_psi_tilde_round_trip_on_arbitrary_bipartitions():
-    from mullineux.partitions import enumerate_bipartitions
-
     for e, s in [(2, (0, 1)), (4, (0, 2))]:
         for n in range(8):
             for blam in enumerate_bipartitions(n):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from mullineux import cli
+from mullineux.betamaps import minimal_padding, psi_tilde, psi_tilde_inverse
+from mullineux.partitions import enumerate_bipartitions, partition_from_beta_set
 
 
 def run_cli(capsys, *argv):
@@ -29,12 +31,10 @@ def test_partition_wire_round_trip():
 
 
 def test_partition_wire_strictness():
-    with pytest.raises(ValueError):
-        cli.parse_partition("1,2,3")
-    with pytest.raises(ValueError):
-        cli.parse_partition("3,0")
-    with pytest.raises(ValueError):
-        cli.parse_partition("3,x")
+    # unlike as_partition, the wire format has no trailing zeros to drop
+    for text in ("1,2,3", "3,0", "3,0,0", "0", "0,3", "3,-1", "3,x", "3,,1"):
+        with pytest.raises(ValueError):
+            cli.parse_partition(text)
 
 
 def test_bipartition_wire_round_trip():
@@ -224,6 +224,73 @@ def test_psi_charge_order(capsys):
     assert "s1 <= s2" in err
 
 
+def test_psi_charges_need_two_ints(capsys):
+    for charges in ("0", "0,1,2", ","):
+        code, out, err = run_cli(capsys, "psi", "--e", "3", "--charges", charges, "--bipartition=-|-")
+        assert code == 1
+        assert out == ""
+        assert "mullineux: error: --charges takes two comma-separated ints" in err
+
+
+PSI_GRID = [(2, (0, 0)), (3, (0, 2)), (3, (-1, 1)), (6, (0, 3))]
+
+
+def _psi_doc(capsys, e, s, blam, *flags):
+    code, out, _ = run_cli(
+        capsys, "psi", "--e", str(e), f"--charges={s[0]},{s[1]}",
+        f"--bipartition={cli.format_bipartition(blam)}", *flags,
+    )
+    assert code == 0
+    return get_json(out)["results"]
+
+
+def test_psi_to_dominant_matches_library(capsys):
+    for e, s in PSI_GRID:
+        for n in range(5):
+            for blam in enumerate_bipartitions(n):
+                results = _psi_doc(capsys, e, s, blam, "--to-dominant")
+                assert results["image"] == cli.format_bipartition(psi_tilde(e, s, blam))
+                results = _psi_doc(capsys, e, s, blam, "--to-dominant", "--inverse")
+                assert results["image"] == cli.format_bipartition(psi_tilde_inverse(e, s, blam))
+
+
+def test_psi_to_dominant_steps_chain(capsys):
+    for e, s in PSI_GRID:
+        for n in range(5):
+            for blam in enumerate_bipartitions(n):
+                steps = _psi_doc(capsys, e, s, blam, "--to-dominant")["steps"]
+                assert steps[-1] == {"charges": [s[0], s[1] + (len(steps) - 1) * e],
+                                     "identity": True, "shortcut": True}
+                walked = steps[:-1]
+                for step, following in zip(walked, walked[1:]):
+                    assert step["output"] == following["input"]
+
+
+def _decoded(rows):
+    # rows list the larger charge, the second component, first
+    return tuple(partition_from_beta_set(row["beta_set"]) for row in reversed(rows))
+
+
+def test_psi_inverse_steps_render_at_the_step_padding(capsys):
+    for e, s in PSI_GRID:
+        for n in range(5):
+            for blam in enumerate_bipartitions(n):
+                for flags in ((), ("--to-dominant",)):
+                    results = _psi_doc(capsys, e, s, blam, "--inverse", *flags)
+                    cur = blam
+                    for step in results["steps"]:
+                        if step.get("shortcut"):
+                            continue
+                        assert _decoded(step["input"]) == cur
+                        stage = tuple(row["charge"] for row in reversed(step["output"]))
+                        rows = step["input"] + step["output"]
+                        assert {len(row["beta_set"]) - row["charge"] for row in rows} == {
+                            minimal_padding(cur, stage)
+                        }
+                        cur = _decoded(step["output"])
+                    assert cli.format_bipartition(cur) == results["image"]
+
+
 # ---------------------------------------------------------------------------
 # crystal export
 
@@ -310,6 +377,15 @@ def test_jobs_default_from_environment(monkeypatch):
     assert cli._default_jobs() == 7
     monkeypatch.delenv("MULLINEUX_JOBS")
     assert cli._default_jobs() >= 1
+
+
+def test_bad_jobs_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_JOBS", "abc")
+    code, out, err = run_cli(capsys, "verify-conjecture", "--e", "2", "--max-n", "2")
+    assert code == 1
+    assert out == ""
+    assert "mullineux: error: MULLINEUX_JOBS must be an integer, got 'abc'" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_counterexample_exits_two(capsys, monkeypatch):
