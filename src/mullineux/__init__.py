@@ -7,7 +7,6 @@ isomorphisms.  Sweep harnesses verify the inclusion property the recursion
 rests on and cross-validate the two algorithms exhaustively.
 """
 
-from mullineux._core import BACKEND
 from mullineux.betamaps import (
     encode_bipartition,
     matching_pairs,
@@ -80,6 +79,9 @@ from mullineux.partitions import (
 )
 
 __version__ = "0.1.0"
+
+# the kernels are pure Python; benchmark output names them by this
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

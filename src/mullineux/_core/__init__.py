@@ -1,23 +1,1 @@
-"""Kernel backend selection.
-
-The compiled Cython backend (_ckernels) is preferred when it was built;
-otherwise the pure-Python twin (_pykernels) is used.  Set MULLINEUX_PURE=1
-to force the pure backend, e.g. for benchmarking against the compiled one.
-Both expose the same functions with identical semantics.
-"""
-
-import os
-
-if os.environ.get("MULLINEUX_PURE"):
-    from mullineux._core import _pykernels as kernels
-
-    BACKEND = "pure"
-else:
-    try:
-        from mullineux._core import _ckernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from mullineux._core import _pykernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "pure"
+"""Hot crystal and beta-set kernels (see mullineux._core.kernels)."""

@@ -1,10 +1,10 @@
-"""Pure-Python kernel backend.
+"""Crystal and beta-set kernels.
 
 These are the inner loops of the sweep harnesses: rank-one crystal moves on
 partitions, full residue-path stripping and replay, the Mullineux map they
-compose to, and the greedy beta-set matching step.  The compiled backend in
-_ckernels.pyx mirrors this module function for function; keep the two in
-lockstep (the test suite cross-checks them).
+compose to, and the greedy beta-set matching step.  Callers look the
+functions up on this module at call time (kernels.psi_step(...)), so a
+wrapper installed on a module attribute sees every call.
 
 Conventions: partitions are tuples of weakly decreasing positive ints,
 beta-sets are strictly increasing tuples of nonnegative ints, residues are

@@ -47,8 +47,11 @@ def format_bipartition(blam) -> str:
     return f"{format_partition(blam[0])}|{format_partition(blam[1])}"
 
 
-def parse_int_list(text: str) -> list[int]:
-    return [int(chunk) for chunk in text.split(",") if chunk.strip() != ""]
+def parse_int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(chunk) for chunk in text.split(",") if chunk.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated ints, got {text!r}") from None
 
 
 def _default_jobs() -> int:
@@ -117,7 +120,7 @@ def cmd_mull(args) -> int:
 
 def cmd_verify_conjecture(args) -> int:
     report = engine.sweep_conjecture(
-        parse_int_list(args.e),
+        parse_int_list(args.e, "--e"),
         args.max_n,
         args.max_k,
         regular_only=not args.all_partitions,
@@ -131,7 +134,7 @@ def cmd_verify_conjecture(args) -> int:
 
 def cmd_cross_validate(args) -> int:
     report = engine.cross_validate(
-        parse_int_list(args.e), args.max_n, depth_limit=args.depth_limit, jobs=args.jobs
+        parse_int_list(args.e, "--e"), args.max_n, depth_limit=args.depth_limit, jobs=args.jobs
     )
     _emit(report.to_document(include_timing=args.timing))
     if args.csv:
@@ -165,7 +168,7 @@ def _step_doc(e: int, inverse: bool, stage, before, after) -> dict:
 
 
 def cmd_psi(args) -> int:
-    charges = parse_int_list(args.charges)
+    charges = parse_int_list(args.charges, "--charges")
     if len(charges) != 2:
         raise ValueError(f"--charges takes two comma-separated ints s1,s2, got {args.charges!r}")
     s1, s2 = s = tuple(charges)

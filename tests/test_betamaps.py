@@ -10,6 +10,7 @@ stabilized regime.
 import pytest
 from hypothesis import given, settings
 
+from mullineux._core import kernels
 from mullineux.betamaps import (
     encode_bipartition,
     matching_pairs,
@@ -98,6 +99,11 @@ def test_step_identity_branch():
 def test_step_size_check():
     with pytest.raises(SizeOrderError):
         psi_step(3, (0, 1, 2), (0, 1))
+    # the kernels check sizes too, for callers that skip the typed check
+    with pytest.raises(ValueError):
+        kernels.psi_step(3, (0, 1), (5,))
+    with pytest.raises(ValueError):
+        kernels.psi_step_inverse(2, (0, 1, 2), (0, 1, 4))
 
 
 def test_inverse_symbol_pinned():

@@ -225,11 +225,34 @@ def test_psi_charge_order(capsys):
 
 
 def test_psi_charges_need_two_ints(capsys):
-    for charges in ("0", "0,1,2", ","):
+    for charges, message in [
+        ("0", "--charges takes two comma-separated ints"),
+        ("0,1,2", "--charges takes two comma-separated ints"),
+        (",", "--charges takes two comma-separated ints"),
+        ("a,1", "--charges takes comma-separated ints, got 'a,1'"),
+    ]:
         code, out, err = run_cli(capsys, "psi", "--e", "3", "--charges", charges, "--bipartition=-|-")
         assert code == 1
         assert out == ""
-        assert "mullineux: error: --charges takes two comma-separated ints" in err
+        assert f"mullineux: error: {message}" in err
+
+
+def test_sweep_moduli_must_be_ints(capsys):
+    for command in ("verify-conjecture", "cross-validate"):
+        code, out, err = run_cli(capsys, command, "--e", "2,x", "--max-n", "3", "--jobs", "1")
+        assert code == 1
+        assert out == ""
+        assert "mullineux: error: --e takes comma-separated ints, got '2,x'" in err
+
+
+def test_psi_negative_charge_needs_the_equals_form(capsys):
+    # argparse reads a bare "-2,5" as an option, so the value must be attached
+    code, _, err = run_cli(capsys, "psi", "--e", "3", "--charges", "-2,5", "--bipartition=1|-")
+    assert code == 1
+    assert "argument --charges: expected one argument" in err
+    code, out, _ = run_cli(capsys, "psi", "--e", "3", "--charges=-2,5", "--bipartition=1|-")
+    assert code == 0
+    assert get_json(out)["parameters"]["charges"] == [-2, 5]
 
 
 PSI_GRID = [(2, (0, 0)), (3, (0, 2)), (3, (-1, 1)), (6, (0, 3))]

@@ -156,6 +156,9 @@ def test_residue_path_pinned():
         residue_path_to_empty((1, 1, 1), 3)
     with pytest.raises(NotRegularError):
         mullineux_kleshchev((1, 1, 1), 3)
+    assert replay_path((1,), 3) is None
+    assert replay_path((0, 0), 2) is None  # the second move stalls
+    assert replay_path((0, 1, 0), 2) == (3,)
 
 
 def test_mullineux_pinned():
@@ -164,6 +167,8 @@ def test_mullineux_pinned():
     assert mullineux_kleshchev((6, 5, 5, 4, 1, 1), 6) == (11, 9, 2)
     assert mullineux_kleshchev((6, 5, 2, 2, 1, 1), 3) == (11, 4, 2)
     assert mullineux_kleshchev((), 5) == ()
+    # no limit on rank: a residue path 3000 steps long
+    assert mullineux_kleshchev((3000,), 2) == (3000,)
 
 
 def test_mullineux_involution_and_preservation():
