@@ -73,26 +73,43 @@ def e_tilde(parts, j, e):
 def strip_residues(parts, e):
     """Greedily strip good removable nodes down to the empty partition.
 
-    At each step the residues 0..e-1 are scanned in order and the first
-    available good removable node is taken.  Returns the residues in
-    removal order, or None if the process stalls early (the partition is
-    not e-regular).
+    At each step the smallest residue with a good removable node is taken,
+    which is the node a scan of residues 0..e-1 with good_rows would find
+    first.  One bottom-up scan per removed node finds them all: it keeps,
+    per residue, the number of removable nodes no later addable node has
+    cancelled and the row of the lowest of them, which is the good one.
+    Returns the residues in removal order, or None if the process stalls
+    early (the partition is not e-regular).
     """
     _check_modulus(e)
     cur = parts
     out = []
     while cur:
+        r = len(cur)
+        open_count = [0] * e
+        good_row = [0] * e
+        for a in range(r + 1, 0, -1):
+            row_len = cur[a - 1] if a <= r else 0
+            if a > r or a == 1 or cur[a - 2] > row_len:  # addable at column row_len + 1
+                j = (row_len + 1 - a) % e
+                if open_count[j]:
+                    open_count[j] -= 1
+            if a <= r and (a == r or row_len > cur[a]):  # removable at column row_len
+                j = (row_len - a) % e
+                if not open_count[j]:
+                    good_row[j] = a
+                open_count[j] += 1
         for j in range(e):
-            _, a = good_rows(cur, j, e)
-            if a:
-                if cur[a - 1] == 1:
-                    cur = cur[:-1]
-                else:
-                    cur = cur[: a - 1] + (cur[a - 1] - 1,) + cur[a:]
-                out.append(j)
+            if open_count[j]:
+                a = good_row[j]
                 break
         else:
             return None
+        if cur[a - 1] == 1:
+            cur = cur[:-1]
+        else:
+            cur = cur[: a - 1] + (cur[a - 1] - 1,) + cur[a:]
+        out.append(j)
     return tuple(out)
 
 

@@ -12,7 +12,13 @@ inverse walk.
 
 Both walks are the one stage generator `walk`: psi_tilde and
 psi_tilde_inverse keep only where it ends, and the CLI renders every
-stage of it.
+stage of it.  The walk carries the pair as beta-sets from stage to stage
+and never re-encodes it: a step's output is the next step's input at the
+same padding, and the inverse walk pads only when the next step needs a
+longer staircase.  On beta-sets the shortcut is O(1): the largest element
+of the first set must lie in the staircase run 0, 1, ... that starts the
+second (shortcut_on_beta_sets).  Partitions are decoded only where one is
+needed, for the final image and for rendering.
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
 (commuting with the operators of mullineux.level2) only holds on Uglov
@@ -28,8 +34,9 @@ from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
 from mullineux.level2 import Bicharge, Bipartition, rank2, stable_shift
 from mullineux.partitions import beta_set, partition_from_beta_set
 
-# (stage bicharge, bipartition before the step, after it or None if skipped)
-Stage = tuple[Bicharge, Bipartition, Bipartition | None]
+BetaPair = tuple[tuple[int, ...], tuple[int, ...]]
+# (stage bicharge, beta-set pair before the step, after it or None if skipped)
+Stage = tuple[Bicharge, BetaPair, BetaPair | None]
 
 
 def matching_pairs(x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -87,11 +94,16 @@ def minimal_padding(blam: Bipartition, s: Bicharge) -> int:
     return max(1 - s[0], len(blam[0]) - s[0], len(blam[1]) - s[1])
 
 
-def encode_bipartition(blam: Bipartition, s: Bicharge, m: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def encode_bipartition(blam: Bipartition, s: Bicharge, m: int | None = None) -> BetaPair:
     """Beta-set pair of blam at bicharge s with padding m (minimal by default)."""
     if m is None:
         m = minimal_padding(blam, s)
     return beta_set(blam[0], m + s[0]), beta_set(blam[1], m + s[1])
+
+
+def decode_bipartition(pair: BetaPair) -> Bipartition:
+    """The bipartition a beta-set pair encodes, at whatever bicharge and padding."""
+    return partition_from_beta_set(pair[0]), partition_from_beta_set(pair[1])
 
 
 def psi_bipartition(e: int, s: Bicharge, blam: Bipartition, m: int | None = None) -> Bipartition:
@@ -138,50 +150,87 @@ def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
     return first - 1 + s[0] <= s[1] - h
 
 
+def shortcut_on_beta_sets(x1: tuple[int, ...], x2: tuple[int, ...], shift: int = 0) -> bool:
+    """shortcut_applies(blam, (s1, s2)) for blam encoded at bicharge (s1, s2 + shift).
+
+    The inequality says that the largest element of the first set, plus
+    shift, falls in the staircase run 0, 1, ... that starts the second set;
+    the padding cancels from both sides, so any valid padding gives the
+    same answer.  The forward walk reads its pair at the stage (shift 0),
+    the inverse walk at the bicharge above it (shift e).
+    """
+    i = x1[-1] + shift
+    return i < len(x2) and x2[i] == i
+
+
 def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Iterator[Stage]:
     """The stages of the stabilized isomorphism walk from blam at bicharge s.
 
     Yields (stage, before, after), where stage is the bicharge the step is
-    taken at and after is None at a stage where shortcut_applies, which is
-    an identity.  The forward walk steps upward from s and ends with its
-    first shortcut stage: from there on every step is the identity.  It
-    always terminates because steps preserve the rank n, which bounds the
-    first part and the part count, while the charge gap grows by e each
-    step; the shortcut inequality is forced once the gap exceeds 2n.
+    taken at, before and after are beta-set pairs (decode_bipartition reads
+    them; their padding is not fixed) and after is None at a stage where
+    the shortcut applies, which is an identity.  The forward walk encodes
+    blam at s with minimal padding, steps upward and ends with its first
+    shortcut stage: from there on every step is the identity.  It always
+    terminates because steps preserve the rank n, which bounds the first
+    part and the part count, while the charge gap grows by e each step;
+    the shortcut inequality is forced once the gap exceeds 2n.
 
-    The inverse walk starts above the charge gap 2n, where stages are
-    provably inert for every bipartition of rank n, and yields all
-    stable_shift(s, n, e) stages down to s itself; the first stage where
-    the shortcut fails is inverted for real, and so on.
+    The inverse walk yields all stable_shift(s, n, e) stages from above the
+    charge gap 2n, where they are inert for every bipartition of rank n,
+    down to s itself.  The shortcut inequality on blam gives the first
+    stage where it fails, so the stages above are inert without a test and
+    the pair is first encoded there, at that stage's minimal padding read
+    at the bicharge above it.  From there each stage is tested on the pair
+    and inverted for real where the shortcut fails, padding the pair first
+    if its second set lacks the staircase 0..e-1 the step removes.
     """
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    cur = blam
-    if inverse:
-        for j in range(stable_shift(s, rank2(blam), e) - 1, -1, -1):
-            stage = (s1, s2 + j * e)
-            if shortcut_applies(cur, stage):
-                yield stage, cur, None
-            else:
-                nxt = psi_bipartition_inverse(e, stage, cur)
-                yield stage, cur, nxt
-                cur = nxt
+    if not inverse:
+        stage = s
+        pair = encode_bipartition(blam, s)
+        while not shortcut_on_beta_sets(*pair):
+            nxt = kernels.psi_step(e, *pair)
+            yield stage, pair, nxt
+            pair = nxt
+            stage = (s1, stage[1] + e)
+        yield stage, pair, None
         return
-    stage = (s1, s2)
-    while not shortcut_applies(cur, stage):
-        nxt = psi_bipartition(e, stage, cur)
-        yield stage, cur, nxt
-        cur = nxt
-        stage = (s1, stage[1] + e)
-    yield stage, cur, None
+    k = stable_shift(s, rank2(blam), e)
+    if k == 0:
+        return
+    # shortcut_applies(blam, (s1, s2 + j*e)) fails exactly for j*e < gap
+    gap = (blam[0][0] if blam[0] else 0) + len(blam[1]) + s1 - s2
+    top = min(k - 1, (gap - 1) // e)
+    low = (s1, s2 + max(top, 0) * e)
+    pair = encode_bipartition(blam, (s1, low[1] + e), minimal_padding(blam, low))
+    for j in range(k - 1, -1, -1):
+        stage = (s1, s2 + j * e)
+        if j > top or shortcut_on_beta_sets(pair[0], pair[1], e):
+            yield stage, pair, None
+            continue
+        y1, y2 = pair
+        if len(y2) < e or y2[e - 1] != e - 1:
+            run = 0
+            while run < len(y2) and y2[run] == run:
+                run += 1
+            pad = e - run
+            y1 = tuple(range(pad)) + tuple(v + pad for v in y1)
+            y2 = tuple(range(pad)) + tuple(v + pad for v in y2)
+        nxt = kernels.psi_step_inverse(e, y1, y2)
+        yield stage, pair, nxt
+        pair = nxt
 
 
 def walk_image(blam: Bipartition, stages: Iterable[Stage]) -> Bipartition:
-    """Where a run of stages starting at blam ends (blam itself if it is empty)."""
-    for _, before, after in stages:
-        blam = before if after is None else after
-    return blam
+    """Where a run of stages starting at blam ends (blam itself if no step ran)."""
+    last = None
+    for _, _, after in stages:
+        if after is not None:
+            last = after
+    return blam if last is None else decode_bipartition(last)
 
 
 def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:

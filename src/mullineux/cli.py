@@ -178,10 +178,17 @@ def cmd_psi(args) -> int:
     e = args.e
     blam = parse_bipartition(args.bipartition)
     if args.to_dominant:
-        stages = list(betamaps.walk(e, s, blam, args.inverse))
+        walked = list(betamaps.walk(e, s, blam, args.inverse))
+        image = betamaps.walk_image(blam, walked)
+        decode = betamaps.decode_bipartition
+        stages = [
+            (stage, decode(before), None if after is None else decode(after))
+            for stage, before, after in walked
+        ]
     else:
         step = betamaps.psi_bipartition_inverse if args.inverse else betamaps.psi_bipartition
-        stages = [(s, blam, step(e, s, blam))]
+        image = step(e, s, blam)
+        stages = [(s, blam, image)]
     steps = [_step_doc(e, args.inverse, *stage) for stage in stages]
     if args.inverse and not args.to_dominant:
         steps[0]["charges"] = [s1, s2 + e]  # a lone inverse step names its input's bicharge
@@ -195,7 +202,7 @@ def cmd_psi(args) -> int:
             "inverse": args.inverse,
             "to_dominant": args.to_dominant,
         },
-        "results": {"image": format_bipartition(betamaps.walk_image(blam, stages)), "steps": steps},
+        "results": {"image": format_bipartition(image), "steps": steps},
     }
     _emit(doc)
     return 0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from mullineux._core import kernels
 from mullineux.betamaps import (
+    decode_bipartition,
     encode_bipartition,
     matching_pairs,
     minimal_padding,
@@ -22,6 +23,7 @@ from mullineux.betamaps import (
     psi_tilde,
     psi_tilde_inverse,
     shortcut_applies,
+    shortcut_on_beta_sets,
     walk,
 )
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
@@ -253,6 +255,23 @@ def test_shortcut_implies_identity_forever():
                     assert cur == blam
 
 
+def test_shortcut_on_beta_sets_matches_shortcut_applies():
+    # forward pairs are read at the stage, inverse pairs at the bicharge above it
+    for n in range(8):
+        for blam in enumerate_bipartitions(n):
+            for e in (2, 3):
+                for s1 in (0, -2):
+                    for gap in range(2 * n + e + 1):
+                        s = (s1, s1 + gap)
+                        expected = shortcut_applies(blam, s)
+                        up = (s1, s1 + gap + e)
+                        m = minimal_padding(blam, s)
+                        for pad in range(m, m + 4):
+                            assert shortcut_on_beta_sets(*encode_bipartition(blam, s, pad)) == expected
+                            y1, y2 = encode_bipartition(blam, up, pad)
+                            assert shortcut_on_beta_sets(y1, y2, e) == expected
+
+
 def test_psi_tilde_pinned():
     lam = (6, 5, 2, 2, 1, 1)
     assert psi_tilde(6, (0, 3), (lam, lam)) == ((3, 3, 2, 2, 1, 1), (6, 5, 5, 4, 1, 1))
@@ -270,11 +289,19 @@ def test_psi_tilde_pinned():
 WALK_GRID = [(2, (0, 0)), (2, (-1, 2)), (3, (0, 1)), (4, (1, 1))]
 
 
+def decoded_walk(e, s, blam, inverse=False):
+    """The walk's stages with both beta-set pairs decoded to bipartitions."""
+    return [
+        (stage, decode_bipartition(before), None if after is None else decode_bipartition(after))
+        for stage, before, after in walk(e, s, blam, inverse)
+    ]
+
+
 def test_forward_walk_stages():
     for e, s in WALK_GRID:
         for n in range(6):
             for blam in enumerate_bipartitions(n):
-                stages = list(walk(e, s, blam))
+                stages = decoded_walk(e, s, blam)
                 # s2 advances by e per stage, and only the last stage is a shortcut
                 assert [stage for stage, _, _ in stages] == [
                     (s[0], s[1] + k * e) for k in range(len(stages))
@@ -290,7 +317,7 @@ def test_inverse_walk_stages():
     for e, s in WALK_GRID:
         for n in range(6):
             for blam in enumerate_bipartitions(n):
-                stages = list(walk(e, s, blam, inverse=True))
+                stages = decoded_walk(e, s, blam, inverse=True)
                 k = stable_shift(s, rank2(blam), e)
                 # every stage from the stabilized gap down to s, none skipped
                 assert [stage for stage, _, _ in stages] == [

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
+from mullineux import engine
+from mullineux._core import kernels
 from mullineux.engine import (
     conjecture_tower,
     cross_validate,
     mullineux_conjectural,
     sweep_conjecture,
 )
-from mullineux.errors import DepthExceededError, NotRegularError
+from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError
 from mullineux.level1 import mullineux_kleshchev
 from mullineux.partitions import (
     beta_set,
@@ -170,6 +172,91 @@ def test_trace_serialization():
     assert len(doc["children"]) == 2
     assert doc["children"][0]["modulus"] == 6
     json.dumps(doc)  # must be serializable as-is
+
+
+# ---------------------------------------------------------------------------
+# the recursion's memo
+
+
+@pytest.fixture
+def cold_memo():
+    """Start from an empty memo and leave none of this test's entries behind."""
+    engine._outcome.cache_clear()
+    yield
+    engine._outcome.cache_clear()
+
+
+def outcome(lam, e, depth_limit, oracle_fallback):
+    """What a caller of mullineux_conjectural sees, in comparable form."""
+    try:
+        image, trace = mullineux_conjectural(
+            lam, e, depth_limit=depth_limit, oracle_fallback=oracle_fallback
+        )
+    except (ConjectureViolationError, DepthExceededError) as exc:
+        trace = getattr(exc, "trace", None)
+        return (
+            type(exc),
+            str(exc),
+            None if trace is None else trace.to_dict(),
+            (exc.partition, exc.modulus, getattr(exc, "depth", None)),
+        )
+    return image, trace.to_dict()
+
+
+def test_memo_warm_and_cleared_give_the_same_outcome(cold_memo):
+    # oracle_fallback runs innermost, so a depth limit first raises and then
+    # answers on the same partition, as in test_recursive_depth_limit
+    calls = [
+        (lam, e, depth_limit, oracle_fallback)
+        for e in (2, 3, 4, 5)
+        for n in range(13)
+        for lam in enumerate_e_regular(n, e)
+        for depth_limit in (0, 1, 2, 16)
+        for oracle_fallback in (False, True)
+    ]
+    warm = [outcome(*call) for call in calls]
+    assert any(result[0] is DepthExceededError for result in warm)
+    for call, seen in zip(calls, warm):
+        engine._outcome.cache_clear()
+        assert outcome(*call) == seen, call
+
+
+def test_memo_keeps_raising_a_violation(cold_memo, monkeypatch):
+    walk_back = engine.betamaps.psi_tilde_inverse
+
+    def disagreeing(e, s, blam):
+        nu = walk_back(e, s, blam)
+        return nu[0], nu[1] + (1,)
+
+    monkeypatch.setattr(engine.betamaps, "psi_tilde_inverse", disagreeing)
+    seen = []
+    for _ in range(3):
+        with pytest.raises(ConjectureViolationError) as info:
+            mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+        seen.append((str(info.value), info.value.trace.to_dict()))
+    assert engine._outcome.cache_info().hits >= 2
+    assert seen[0] == seen[1] == seen[2]
+    assert "pulled-back components disagree" in seen[0][0]
+
+
+def test_deep_walks_stay_short(cold_memo, monkeypatch):
+    # the longest second input each kernel sees on a deep recursion (it
+    # reaches modulus 256); 384 and 896 are what walks that re-encode every
+    # stage at its minimal padding pass, and a walk that encoded the pair at
+    # the stabilized top charge would pass far longer sets
+    longest = {"psi_step": 0, "psi_step_inverse": 0}
+    for name in longest:
+        kernel = getattr(kernels, name)
+
+        def recorded(e, x1, x2, name=name, kernel=kernel):
+            longest[name] = max(longest[name], len(x2))
+            return kernel(e, x1, x2)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    image, trace = mullineux_conjectural((217, 55, 1), 2)
+    assert image == mullineux_kleshchev((217, 55, 1), 2)
+    assert 0 < longest["psi_step"] <= 384
+    assert 0 < longest["psi_step_inverse"] <= 896
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ values, adjointness, and randomized stripping orders.
 import pytest
 from hypothesis import given, settings
 
+from mullineux._core import kernels
 from mullineux.errors import NotRegularError
 from mullineux.level1 import (
     addable_nodes,
@@ -187,6 +188,35 @@ def test_core_maps_to_conjugate():
             for lam in enumerate_e_regular(n, e):
                 if is_e_core(lam, e):
                     assert mullineux_kleshchev(lam, e) == conjugate(lam)
+
+
+def canonical_strip(lam, e):
+    """The canonical residue path from signature words, without the kernels.
+
+    Each step removes the good removable node of the smallest residue that
+    has one; None when no residue has one before the partition is empty.
+    """
+    path = []
+    while lam:
+        for j in range(e):
+            node = good_removable(lam, j, e)
+            if node is not None:
+                break
+        else:
+            return None
+        a, _ = node
+        lam = tuple(p for p in lam[: a - 1] + (lam[a - 1] - 1,) + lam[a:] if p)
+        path.append(j)
+    return tuple(path)
+
+
+def test_strip_residues_matches_signature_words():
+    for e in range(2, 8):
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                path = canonical_strip(lam, e)
+                assert kernels.strip_residues(lam, e) == path
+                assert (path is None) == (not is_e_regular(lam, e))
 
 
 def test_path_choice_does_not_matter(rng):
