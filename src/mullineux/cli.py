@@ -118,24 +118,24 @@ def cmd_mull(args) -> int:
     return 0
 
 
-def cmd_verify_conjecture(args) -> int:
-    report = engine.sweep_conjecture(
+def sweep_verify_conjecture(args) -> engine.SweepReport:
+    return engine.sweep_conjecture(
         parse_int_list(args.e, "--e"),
         args.max_n,
         args.max_k,
         regular_only=not args.all_partitions,
         jobs=args.jobs,
     )
-    _emit(report.to_document(include_timing=args.timing))
-    if args.csv:
-        _write_csv(args.csv, report)
-    return 0 if report.verified else 2
 
 
-def cmd_cross_validate(args) -> int:
-    report = engine.cross_validate(
+def sweep_cross_validate(args) -> engine.SweepReport:
+    return engine.cross_validate(
         parse_int_list(args.e, "--e"), args.max_n, depth_limit=args.depth_limit, jobs=args.jobs
     )
+
+
+def cmd_sweep(args) -> int:
+    report = args.sweep(args)
     _emit(report.to_document(include_timing=args.timing))
     if args.csv:
         _write_csv(args.csv, report)
@@ -239,6 +239,20 @@ def cmd_crystal_export(args) -> int:
 # parser
 
 
+def _add_sweep(sub, name: str, help: str, max_n: int, sweep, options: dict) -> None:
+    """A sweep subcommand: its own options between the ones every sweep takes."""
+    cmd = sub.add_parser(name, help=help)
+    cmd.add_argument("--e", default=DEFAULT_E_LIST, help="comma-separated moduli")
+    cmd.add_argument("--max-n", type=int, default=max_n)
+    for flag, kwargs in options.items():
+        cmd.add_argument(flag, **kwargs)
+    cmd.add_argument("--jobs", type=int, default=None)
+    cmd.add_argument("--csv", help="also write a per-bucket CSV summary to this path")
+    cmd.add_argument("--timing", action="store_true",
+                     help="include wall-clock timing in the report (breaks byte-identity)")
+    cmd.set_defaults(func=cmd_sweep, sweep=sweep)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mullineux", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,27 +267,14 @@ def build_parser() -> _Parser:
                       help="answer too-deep recursive subcalls with the crystal oracle")
     mull.set_defaults(func=cmd_mull)
 
-    verify = sub.add_parser("verify-conjecture", help="sweep the odd-stage inclusion property")
-    verify.add_argument("--e", default=DEFAULT_E_LIST, help="comma-separated moduli")
-    verify.add_argument("--max-n", type=int, default=10)
-    verify.add_argument("--max-k", type=int, default=9)
-    verify.add_argument("--all-partitions", action="store_true",
-                        help="sweep all partitions instead of only e-regular ones")
-    verify.add_argument("--jobs", type=int, default=None)
-    verify.add_argument("--csv", help="also write a per-bucket CSV summary to this path")
-    verify.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the report (breaks byte-identity)")
-    verify.set_defaults(func=cmd_verify_conjecture)
-
-    cross = sub.add_parser("cross-validate", help="recursive algorithm vs crystal oracle")
-    cross.add_argument("--e", default=DEFAULT_E_LIST, help="comma-separated moduli")
-    cross.add_argument("--max-n", type=int, default=8)
-    cross.add_argument("--depth-limit", type=int, default=16)
-    cross.add_argument("--jobs", type=int, default=None)
-    cross.add_argument("--csv", help="also write a per-bucket CSV summary to this path")
-    cross.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the report (breaks byte-identity)")
-    cross.set_defaults(func=cmd_cross_validate)
+    _add_sweep(sub, "verify-conjecture", "sweep the odd-stage inclusion property", 10,
+               sweep_verify_conjecture, {
+                   "--max-k": dict(type=int, default=9),
+                   "--all-partitions": dict(action="store_true",
+                                            help="sweep all partitions instead of only e-regular ones"),
+               })
+    _add_sweep(sub, "cross-validate", "recursive algorithm vs crystal oracle", 8,
+               sweep_cross_validate, {"--depth-limit": dict(type=int, default=16)})
 
     psi = sub.add_parser("psi", help="apply a beta-set crystal isomorphism step")
     psi.add_argument("--e", type=int, required=True)

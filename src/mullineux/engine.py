@@ -29,9 +29,20 @@ nodes add 0.7 MiB and run at 2,615 partitions/s against 3,088 unbounded
 (2-core x86-64 host, Python 3.11).  In bench/run.py, 1,024 nodes added
 about 5% to peak RSS for at most 3% more throughput than 512.
 
-Sweeps parallelize over (modulus, rank) buckets with no shared state and
-merge per-bucket results in a fixed order, so reports are byte-identical
-regardless of the worker count.  Each worker process has its own memo.
+Both sweeps are one pipeline.  Each is only its parameters and a
+per-partition check, check(lam, e, *params), that returns a list of
+failure dicts.  _sweep validates the arguments, builds the (e, n) grid,
+runs _bucket on every bucket and merges checked, counterexamples and
+timings (labelled "e={e},n={n}") in (e, n) order.  _bucket is the only
+loop over a bucket's partitions.  An exception a check raises is data, not
+an abort: it becomes a counterexample of kind "error" carrying the
+partition and the exception, and the sweep goes on.  With more than one
+worker the buckets go to the Pool one at a time, larger ranks first, so the
+largest buckets do not end up in one worker's last chunk; only picklable
+data (the check, e, n, regular_only, params) crosses the Pool, and the
+enumerators and checks look up module globals at call time.  Buckets share
+no state, so reports are byte-identical regardless of the worker count.
+Each worker process has its own memo.
 """
 
 from __future__ import annotations
@@ -152,38 +163,76 @@ class SweepReport:
         return doc
 
 
-def _run_buckets(worker, args, jobs: int):
-    if jobs > 1 and len(args) > 1:
+def _bucket(task):
+    """The only loop over a bucket's partitions: run the check on each, count
+    them and collect the failure dicts, recording an exception the check
+    raises as a failure of kind "error".  Returns (checked, failures, seconds)."""
+    check, e, n, regular_only, params = task
+    start = time.perf_counter()
+    checked, failures = 0, []
+    for lam in enumerate_e_regular(n, e) if regular_only else enumerate_partitions(n):
+        checked += 1
+        try:
+            failures.extend(check(lam, e, *params))
+        except Exception as exc:
+            failures.append(
+                {
+                    "e": e,
+                    "partition": format_partition(lam),
+                    "kind": "error",
+                    "detail": f"{type(exc).__name__}: {exc}",
+                }
+            )
+    return checked, failures, time.perf_counter() - start
+
+
+def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs) -> SweepReport:
+    """Run check(lam, e, *params) on every (e, n) bucket and merge in (e, n) order."""
+    if not e_list:
+        raise ValueError("at least one modulus is required")
+    if min(e_list) < 2:
+        raise ValueError(f"modulus must be >= 2, got {min(e_list)}")
+    if len(set(e_list)) != len(e_list):
+        raise ValueError(f"moduli must be distinct, got {list(e_list)}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    grid = [(e, n) for e in e_list for n in range(n_max + 1)]
+    tasks = [(check, e, n, regular_only, params) for e, n in grid]
+    if jobs > 1 and len(tasks) > 1:
+        # one bucket at a time, larger ranks first, so that no worker is left
+        # holding a chunk of the largest buckets at the end
+        order = sorted(range(len(tasks)), key=lambda i: grid[i][1], reverse=True)
+        results = [None] * len(tasks)
         with Pool(processes=jobs) as pool:
-            return pool.map(worker, args)
-    return [worker(a) for a in args]
+            ranked = pool.imap(_bucket, [tasks[i] for i in order], chunksize=1)
+            for i, result in zip(order, ranked):
+                results[i] = result
+    else:
+        results = [_bucket(task) for task in tasks]
+    report = SweepReport(command=command, parameters=parameters)
+    for (e, n), (checked, failures, seconds) in zip(grid, results):
+        report.checked += checked
+        report.counterexamples.extend(failures)
+        report.timings[f"e={e},n={n}"] = seconds
+    return report
 
 
 # ---------------------------------------------------------------------------
 # conjecture sweep
 
 
-def _conjecture_bucket(arg):
-    e, n, k_max, regular_only = arg
-    t0 = time.perf_counter()
-    checked = 0
-    failures = []
-    source = enumerate_e_regular(n, e) if regular_only else enumerate_partitions(n)
-    for lam in source:
-        x = beta_set(lam, max(1, len(lam)))
-        trace = conjecture_tower(e, x, k_max)
-        checked += 1
-        for step in trace.odd_failures():
-            failures.append(
-                {
-                    "e": e,
-                    "partition": format_partition(lam),
-                    "beta_set": list(x),
-                    "k": step.k,
-                    "missing": sorted(set(step.x1) - set(step.x2)),
-                }
-            )
-    return f"e={e},n={n}", checked, failures, time.perf_counter() - t0
+def _tower_failures(lam: Partition, e: int, k_max: int) -> list[dict]:
+    x = beta_set(lam, max(1, len(lam)))
+    return [
+        {
+            "e": e,
+            "partition": format_partition(lam),
+            "beta_set": list(x),
+            "k": step.k,
+            "missing": sorted(set(step.x1) - set(step.x2)),
+        }
+        for step in conjecture_tower(e, x, k_max).odd_failures()
+    ]
 
 
 def sweep_conjecture(
@@ -199,21 +248,17 @@ def sweep_conjecture(
     restricted to e-regular ones unless regular_only is False.  Failures
     are recorded as counterexamples, not raised.
     """
-    report = SweepReport(
-        command="verify-conjecture",
-        parameters={
-            "e_list": list(e_list),
-            "n_max": n_max,
-            "k_max": k_max,
-            "regular_only": regular_only,
-        },
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    parameters = {
+        "e_list": list(e_list),
+        "n_max": n_max,
+        "k_max": k_max,
+        "regular_only": regular_only,
+    }
+    return _sweep(
+        "verify-conjecture", parameters, _tower_failures, (k_max,), e_list, n_max, regular_only, jobs
     )
-    args = [(e, n, k_max, regular_only) for e in e_list for n in range(n_max + 1)]
-    for label, checked, failures, elapsed in _run_buckets(_conjecture_bucket, args, jobs):
-        report.checked += checked
-        report.counterexamples.extend(failures)
-        report.timings[label] = elapsed
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -348,62 +393,53 @@ def mullineux_conjectural(
 # cross-validation sweep
 
 
-def _cross_validate_bucket(arg):
-    e, n, depth_limit = arg
-    t0 = time.perf_counter()
-    checked = 0
+def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
+    name = format_partition(lam)
     failures = []
-    depth_exceeded = 0
-    for lam in enumerate_e_regular(n, e):
-        checked += 1
-        name = format_partition(lam)
-        oracle = kernels.mullineux(lam, e)
-        trace = None
-        try:
-            recursive, trace = mullineux_conjectural(lam, e, depth_limit=depth_limit)
-            if recursive != oracle:
-                failures.append(
-                    {
-                        "e": e,
-                        "partition": name,
-                        "kind": "mullineux_mismatch",
-                        "oracle": format_partition(oracle),
-                        "recursive": format_partition(recursive),
-                    }
-                )
-        except ConjectureViolationError as exc:
+    oracle = kernels.mullineux(lam, e)
+    trace = None
+    try:
+        recursive, trace = mullineux_conjectural(lam, e, depth_limit=depth_limit)
+        if recursive != oracle:
             failures.append(
                 {
                     "e": e,
                     "partition": name,
-                    "kind": "conjecture_violation",
-                    "detail": str(exc),
-                    "trace": exc.trace.to_dict() if exc.trace is not None else None,
+                    "kind": "mullineux_mismatch",
+                    "oracle": format_partition(oracle),
+                    "recursive": format_partition(recursive),
                 }
             )
-        except DepthExceededError as exc:
-            depth_exceeded += 1
-            failures.append(
-                {"e": e, "partition": name, "kind": "depth_exceeded", "detail": str(exc)}
-            )
-        # the recursion's top level already walked (lam, lam) at modulus 2e,
-        # except at an e-core or when it raised
-        if trace is not None and trace.mu is not None:
-            double = trace.mu
-        else:
-            double = betamaps.psi_tilde(2 * e, (0, e), (lam, lam))
-        single = betamaps.psi_tilde(e, (0, 0), (lam, lam))
-        if double != single:
-            failures.append(
-                {
-                    "e": e,
-                    "partition": name,
-                    "kind": "isomorphism_mismatch",
-                    "at_2e": [format_partition(p) for p in double],
-                    "at_e": [format_partition(p) for p in single],
-                }
-            )
-    return f"e={e},n={n}", checked, failures, depth_exceeded, time.perf_counter() - t0
+    except ConjectureViolationError as exc:
+        failures.append(
+            {
+                "e": e,
+                "partition": name,
+                "kind": "conjecture_violation",
+                "detail": str(exc),
+                "trace": exc.trace.to_dict() if exc.trace is not None else None,
+            }
+        )
+    except DepthExceededError as exc:
+        failures.append({"e": e, "partition": name, "kind": "depth_exceeded", "detail": str(exc)})
+    # the recursion's top level already walked (lam, lam) at modulus 2e,
+    # except at an e-core or when it raised
+    if trace is not None and trace.mu is not None:
+        double = trace.mu
+    else:
+        double = betamaps.psi_tilde(2 * e, (0, e), (lam, lam))
+    single = betamaps.psi_tilde(e, (0, 0), (lam, lam))
+    if double != single:
+        failures.append(
+            {
+                "e": e,
+                "partition": name,
+                "kind": "isomorphism_mismatch",
+                "at_2e": [format_partition(p) for p in double],
+                "at_e": [format_partition(p) for p in single],
+            }
+        )
+    return failures
 
 
 def cross_validate(
@@ -417,17 +453,9 @@ def cross_validate(
     isomorphism of (lam, lam) agrees between modulus 2e at bicharge (0, e)
     and modulus e at bicharge (0, 0).  Mismatches are recorded, not raised.
     """
-    report = SweepReport(
-        command="cross-validate",
-        parameters={"e_list": list(e_list), "n_max": n_max, "depth_limit": depth_limit},
-        depth_exceeded=0,
+    parameters = {"e_list": list(e_list), "n_max": n_max, "depth_limit": depth_limit}
+    report = _sweep(
+        "cross-validate", parameters, _crossval_failures, (depth_limit,), e_list, n_max, True, jobs
     )
-    args = [(e, n, depth_limit) for e in e_list for n in range(n_max + 1)]
-    for label, checked, failures, exceeded, elapsed in _run_buckets(
-        _cross_validate_bucket, args, jobs
-    ):
-        report.checked += checked
-        report.counterexamples.extend(failures)
-        report.depth_exceeded += exceeded
-        report.timings[label] = elapsed
+    report.depth_exceeded = sum(c["kind"] == "depth_exceeded" for c in report.counterexamples)
     return report

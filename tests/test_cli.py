@@ -156,6 +156,44 @@ def test_csv_summary(tmp_path, capsys):
     assert "checked" in text and "e=2,n=4" in text
 
 
+def test_bad_sweep_arguments_are_usage_errors(capsys):
+    cases = [
+        (["verify-conjecture", "--all-partitions", "--e=0", "--max-n", "3"],
+         "modulus must be >= 2, got 0"),
+        (["verify-conjecture", "--e", "1"], "modulus must be >= 2, got 1"),
+        (["verify-conjecture", "--e=-3"], "modulus must be >= 2, got -3"),
+        (["verify-conjecture", "--e="], "at least one modulus is required"),
+        (["verify-conjecture", "--max-n", "-1"], "n_max must be >= 0, got -1"),
+        (["verify-conjecture", "--max-k", "-1"], "k_max must be >= 0, got -1"),
+        (["cross-validate", "--e", "3,1"], "modulus must be >= 2, got 1"),
+        (["cross-validate", "--e", "2,3,2"], "moduli must be distinct, got [2, 3, 2]"),
+        (["cross-validate", "--e="], "at least one modulus is required"),
+        (["cross-validate", "--max-n", "-1"], "n_max must be >= 0, got -1"),
+    ]
+    for argv, message in cases:
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+            assert (code, out) == (1, ""), argv
+            assert f"mullineux: error: {message}" in err, argv
+
+
+def test_sweep_error_exits_two(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(cli.engine, "conjecture_tower", broken)
+    monkeypatch.setattr(cli.engine.kernels, "mullineux", broken)
+    for command in ("verify-conjecture", "cross-validate"):
+        code, out, _ = run_cli(capsys, command, "--e", "3", "--max-n", "1", "--jobs", "1")
+        assert code == 2
+        doc = get_json(out)
+        assert doc["status"] == "counterexample"
+        assert doc["counterexamples"] == [
+            {"e": 3, "partition": p, "kind": "error", "detail": "RuntimeError: broken check"}
+            for p in ("-", "1")
+        ]
+
+
 # ---------------------------------------------------------------------------
 # psi
 

@@ -291,3 +291,96 @@ def test_cross_validate_jobs_deterministic():
     doc1 = cross_validate([2, 3], 7, jobs=1).to_document()
     doc2 = cross_validate([2, 3], 7, jobs=3).to_document()
     assert json.dumps(doc1) == json.dumps(doc2)
+
+
+def test_cross_validate_counts_depth_exceeded():
+    reports = [cross_validate([2, 3], 8, depth_limit=1, jobs=jobs) for jobs in (1, 2)]
+    kinds = [c["kind"] for c in reports[0].counterexamples]
+    assert reports[0].depth_exceeded > 0
+    assert reports[0].depth_exceeded == kinds.count("depth_exceeded")
+    assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
+
+
+# ---------------------------------------------------------------------------
+# the sweep pipeline
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bucket_labels_in_grid_order(jobs):
+    labels = [f"e={e},n={n}" for e in (3, 2) for n in range(7)]
+    for report in (sweep_conjecture([3, 2], 6, 3, jobs=jobs), cross_validate([3, 2], 6, jobs=jobs)):
+        assert list(report.timings) == labels
+
+
+def test_pool_gets_larger_ranks_first(monkeypatch):
+    submitted = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            assert chunksize == 1
+            for task in tasks:
+                submitted.append(task[1:3])
+                yield fn(task)
+
+    # depth_limit=1 puts counterexamples in many buckets, so a result merged
+    # into the wrong bucket would reorder them
+    serial = cross_validate([2, 3], 6, depth_limit=1)
+    monkeypatch.setattr(engine, "Pool", SerialPool)
+    pooled = cross_validate([2, 3], 6, depth_limit=1, jobs=2)
+    assert submitted == [(e, n) for n in range(6, -1, -1) for e in (2, 3)]
+    assert pooled.depth_exceeded > 0
+    assert pooled.to_document() == serial.to_document()
+    assert list(pooled.timings) == list(serial.timings)
+
+
+def fail_on(monkeypatch, module, name, args, exc):
+    """Make module.name raise exc when it is called with these positional args."""
+    original = getattr(module, name)
+
+    def failing(*called):
+        if called[: len(args)] == args:
+            raise exc
+        return original(*called)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize(
+    "sweep, target, args, exc",
+    [
+        (
+            lambda jobs: sweep_conjecture([2, 3], 7, 5, jobs=jobs),
+            (engine, "conjecture_tower"),
+            (3, beta_set((3, 1), 2)),
+            AssertionError("stage 1 failed"),
+        ),
+        (
+            lambda jobs: cross_validate([2, 3], 7, jobs=jobs),
+            (engine.kernels, "mullineux"),
+            ((3, 1), 3),
+            ValueError("bad part"),
+        ),
+    ],
+)
+def test_unexpected_exception_is_a_counterexample(sweep, target, args, exc, monkeypatch):
+    clean = sweep(1)
+    assert clean.verified
+    fail_on(monkeypatch, *target, args, exc)
+    reports = [sweep(jobs) for jobs in (1, 2)]
+    for report in reports:
+        assert report.status == "counterexample"
+        assert report.counterexamples == [
+            {"e": 3, "partition": "3,1", "kind": "error", "detail": f"{type(exc).__name__}: {exc}"}
+        ]
+        assert report.checked == clean.checked
+        assert list(report.timings) == list(clean.timings)
+    assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())

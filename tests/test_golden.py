@@ -30,9 +30,9 @@ def run(argv):
     return f"{code}\n{out.getvalue()}{err.getvalue()}"
 
 
-def sweeps():
-    yield ["cross-validate", "--e", E_LIST, "--max-n", "14", "--jobs", "1"]
-    yield ["verify-conjecture", "--e", E_LIST, "--max-n", "16", "--max-k", "9", "--jobs", "1"]
+def sweeps(jobs="1"):
+    yield ["cross-validate", "--e", E_LIST, "--max-n", "14", "--jobs", jobs]
+    yield ["verify-conjecture", "--e", E_LIST, "--max-n", "16", "--max-k", "9", "--jobs", jobs]
 
 
 def psi_walks():
@@ -68,13 +68,17 @@ DIGESTS = {
 }
 
 
-def digest(group):
-    return hashlib.sha256("".join(run(argv) for argv in GROUPS[group]()).encode()).hexdigest()
+def digest(group, *args):
+    return hashlib.sha256("".join(run(argv) for argv in GROUPS[group](*args)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_documents_are_byte_identical(group):
     assert digest(group) == DIGESTS[group]
+
+
+def test_sweeps_are_byte_identical_with_two_workers():
+    assert digest("sweeps", "2") == DIGESTS["sweeps"]
 
 
 def main():
