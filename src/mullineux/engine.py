@@ -4,6 +4,9 @@ Two sweeps live here.  The conjecture sweep iterates the beta-set step on
 diagonal pairs (X, X) and records whether the first set is contained in the
 second after each stage; containment at every odd stage is the conjecture
 under test, and any failure is collected as a counterexample, never raised.
+Its towers stop at the first stage whose pair meets the walks' shortcut,
+since every later stage is then provably an inclusion (see
+conjecture_tower); the report is the one the full towers give.
 The cross-validation sweep runs the recursive algorithm against the crystal
 oracle on every e-regular partition in range.
 
@@ -92,12 +95,25 @@ class TowerTrace:
         return [s for s in self.steps if s.k % 2 == 1 and not s.inclusion]
 
 
-def conjecture_tower(e: int, x: tuple[int, ...], k_max: int) -> TowerTrace:
+def conjecture_tower(
+    e: int, x: tuple[int, ...], k_max: int, stop_at_shortcut: bool = False
+) -> TowerTrace:
     """Iterate the beta-set step k_max + 1 times starting from (x, x).
 
     Stage k holds the pair after the step at charge gap k*e.  Inclusion at
     stage 1 is a proved fact and is asserted outright; inclusion at larger
     odd stages is the conjecture and is only recorded.
+
+    With stop_at_shortcut the tower ends after the first stage whose pair
+    (x1, x2) meets betamaps.shortcut_on_beta_sets, or whose x1 is empty,
+    because every later stage is then an inclusion.  The shortcut says that
+    x2 contains 0..m, m the largest element of x1.  The step then matches
+    each a in x1 to itself, so the next pair is x1 and {0..e-1} u (x2 + e),
+    which contains 0..m+e: the shortcut holds again and x1 is inside the
+    second set.  An empty x1 stays empty and is inside any set.  A tower
+    that stops at stage 0 skips the stage-1 assertion, but only where
+    stage 1 is an inclusion anyway.  The sweep stops its towers; library
+    callers get the full tower by default.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -113,6 +129,8 @@ def conjecture_tower(e: int, x: tuple[int, ...], k_max: int) -> TowerTrace:
                 "so the step implementation is broken"
             )
         steps.append(TowerStep(k, x1, x2, inclusion))
+        if stop_at_shortcut and (not x1 or betamaps.shortcut_on_beta_sets(x1, x2)):
+            break
     return TowerTrace(e, x, tuple(steps))
 
 
@@ -231,7 +249,8 @@ def _tower_failures(lam: Partition, e: int, k_max: int) -> list[dict]:
             "k": step.k,
             "missing": sorted(set(step.x1) - set(step.x2)),
         }
-        for step in conjecture_tower(e, x, k_max).odd_failures()
+        # the flag goes positionally, so a stand-in taking only *args can replace the tower
+        for step in conjecture_tower(e, x, k_max, True).odd_failures()
     ]
 
 
@@ -383,6 +402,8 @@ def mullineux_conjectural(
     """
     if e < 2:
         raise ValueError(f"modulus must be >= 2, got {e}")
+    if depth_limit < 0:
+        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     if not is_e_regular(lam, e):
         raise NotRegularError(f"{lam} is not {e}-regular")
     trace = _conjectural(lam, e, 0, depth_limit, oracle_fallback)
@@ -453,6 +474,8 @@ def cross_validate(
     isomorphism of (lam, lam) agrees between modulus 2e at bicharge (0, e)
     and modulus e at bicharge (0, 0).  Mismatches are recorded, not raised.
     """
+    if depth_limit < 0:
+        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     parameters = {"e_list": list(e_list), "n_max": n_max, "depth_limit": depth_limit}
     report = _sweep(
         "cross-validate", parameters, _crossval_failures, (depth_limit,), e_list, n_max, True, jobs

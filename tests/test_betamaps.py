@@ -9,6 +9,7 @@ stabilized regime.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mullineux._core import kernels
 from mullineux.betamaps import (
@@ -253,6 +254,29 @@ def test_shortcut_implies_identity_forever():
                 for k in range(4):
                     cur = psi_bipartition(e, (0, s2 + k * e), cur)
                     assert cur == blam
+
+
+@st.composite
+def shortcut_pairs(draw, max_value=40, max_size=12):
+    """(x1, x2), both strictly increasing, with x2 containing 0..max(x1)."""
+    top = draw(st.integers(0, max_value))
+    x1 = draw(st.sets(st.integers(0, top), max_size=max_size)) | {top}
+    above = draw(st.sets(st.integers(top + 1, top + 1 + max_value), max_size=max_size))
+    return tuple(sorted(x1)), tuple(range(top + 1)) + tuple(sorted(above))
+
+
+@given(shortcut_pairs(), st.integers(2, 8))
+@settings(max_examples=300)
+def test_step_after_the_shortcut_is_an_inclusion_that_keeps_it(pair, e):
+    # the lemma conjecture_tower(..., stop_at_shortcut=True) rests on, for the
+    # kernel the tower runs
+    x1, x2 = pair
+    assert len(x1) <= len(x2) and shortcut_on_beta_sets(x1, x2)
+    y1, y2 = kernels.psi_step(e, x1, x2)
+    assert y1 == x1
+    assert y2 == tuple(range(e)) + tuple(b + e for b in x2)
+    assert shortcut_on_beta_sets(y1, y2)
+    assert set(y1) <= set(y2)
 
 
 def test_shortcut_on_beta_sets_matches_shortcut_applies():

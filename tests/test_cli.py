@@ -177,6 +177,32 @@ def test_bad_sweep_arguments_are_usage_errors(capsys):
             assert f"mullineux: error: {message}" in err, argv
 
 
+def test_negative_depth_limit_is_a_usage_error(capsys):
+    message = "mullineux: error: depth_limit must be >= 0, got -1"
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, "cross-validate", "--e", "3", "--max-n", "3", "--depth-limit", "-1", "--jobs", jobs
+        )
+        assert (code, out) == (1, "") and message in err, jobs
+    # (3, 1) is a 3-core, which answers before the depth is looked at
+    for lam in ("3,1", "3,2"):
+        for method in ("recursive", "both"):
+            code, out, err = run_cli(
+                capsys, "mull", "--method", method, "--e", "3", "--lambda", lam, "--depth-limit", "-1"
+            )
+            assert (code, out) == (1, "") and message in err, (lam, method)
+    # a limit of 0 stays valid
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "cross-validate", "--e", "3", "--max-n", "3", "--depth-limit", "0", "--jobs", jobs
+        )
+        assert code == 2 and get_json(out)["depth_exceeded"] > 0
+    code, out, _ = run_cli(
+        capsys, "mull", "--method", "recursive", "--e", "3", "--lambda", "3,1", "--depth-limit", "0"
+    )
+    assert code == 0 and get_json(out)["results"]["recursive"] == "2,1,1"
+
+
 def test_sweep_error_exits_two(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("broken check")

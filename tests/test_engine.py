@@ -68,6 +68,35 @@ def test_tower_padding_invariance():
                 assert [s.inclusion for s in a.steps] == [s.inclusion for s in b.steps]
 
 
+def shortcut_holds(step):
+    """x2 contains 0..max(x1), by sets rather than betamaps' O(1) test."""
+    return set(range(max(step.x1, default=-1) + 1)) <= set(step.x2)
+
+
+def test_tower_stopped_at_the_shortcut_is_a_prefix_of_the_full_tower():
+    stopped_early = 0
+    for e in (2, 3, 4, 5, 6):
+        for n in range(17):
+            for lam in enumerate_partitions(n):
+                x = beta_set(lam, max(1, len(lam)))
+                full = conjecture_tower(e, x, 9)
+                short = conjecture_tower(e, x, 9, stop_at_shortcut=True)
+                kept = len(short.steps)
+                first = next((s.k for s in full.steps if shortcut_holds(s)), 9)
+                assert kept == first + 1, (e, lam)
+                assert short.steps == full.steps[:kept], (e, lam)
+                assert all(step.inclusion for step in full.steps[kept:]), (e, lam)
+                assert short.odd_failures() == full.odd_failures(), (e, lam)
+                stopped_early += kept < len(full.steps)
+    assert stopped_early > 0
+
+
+def test_tower_stops_on_an_empty_first_set():
+    trace = conjecture_tower(3, (), 5, stop_at_shortcut=True)
+    assert [(s.k, s.x1, s.inclusion) for s in trace.steps] == [(0, (), True)]
+    assert len(conjecture_tower(3, (), 5).steps) == 6
+
+
 # ---------------------------------------------------------------------------
 # conjecture sweep
 
@@ -96,6 +125,54 @@ def test_sweep_jobs_deterministic():
     doc1 = sweep_conjecture([2, 3], 9, 5, jobs=1).to_document()
     doc2 = sweep_conjecture([2, 3], 9, 5, jobs=4).to_document()
     assert json.dumps(doc1) == json.dumps(doc2)
+
+
+def flag_ignoring_tower(monkeypatch):
+    """Replace engine.conjecture_tower with one that always runs to k_max."""
+    tower = engine.conjecture_tower
+
+    def full_tower(e, x, k_max, *flags):
+        return tower(e, x, k_max)
+
+    monkeypatch.setattr(engine, "conjecture_tower", full_tower)
+
+
+def test_stopped_towers_give_the_full_towers_document(monkeypatch):
+    step = kernels.psi_step
+    steps = []
+
+    def counted_step(e, x1, x2):
+        steps.append(e)
+        return step(e, x1, x2)
+
+    monkeypatch.setattr(kernels, "psi_step", counted_step)
+    # the golden digests cover only the e-regular sweep
+    stopped = sweep_conjecture([2, 3, 4, 5], 12, 9, regular_only=False).to_document()
+    stopped_steps = len(steps)
+    flag_ignoring_tower(monkeypatch)
+    full = sweep_conjecture([2, 3, 4, 5], 12, 9, regular_only=False).to_document()
+    assert stopped == full
+    assert stopped_steps < len(steps) - stopped_steps
+
+
+def test_stopped_towers_keep_odd_stage_failures(monkeypatch):
+    step = kernels.psi_step
+
+    def broken_step(e, x1, x2):
+        y1, y2 = step(e, x1, x2)
+        y2 = y2[1:]  # without 0 in the second set the shortcut never holds
+        k = (len(y2) - len(y1)) // (e - 1) - 1  # each stage adds e - 1 elements
+        if k >= 3 and k % 2 and y1[-1] in y2:
+            # odd stages past the proved one lose an element of the first set
+            y2 = tuple(b for b in y2 if b != y1[-1]) + (y2[-1] + 1,)
+        return y1, y2
+
+    monkeypatch.setattr(kernels, "psi_step", broken_step)
+    stopped = [sweep_conjecture([2, 3, 4, 5], 10, 7, jobs=jobs).to_document() for jobs in (1, 2)]
+    flag_ignoring_tower(monkeypatch)
+    full = sweep_conjecture([2, 3, 4, 5], 10, 7).to_document()
+    assert {c.get("k") for c in full["counterexamples"]} >= {3, 5, 7}
+    assert stopped[0] == stopped[1] == full
 
 
 def test_report_document_shape():
@@ -139,6 +216,15 @@ def test_recursive_depth_limit():
     image, trace = mullineux_conjectural((3,), 3, depth_limit=0, oracle_fallback=True)
     assert image == mullineux_kleshchev((3,), 3)
     assert trace.oracle_fallback
+
+
+def test_negative_depth_limit_raises_before_any_bucket(monkeypatch):
+    monkeypatch.setattr(engine, "_bucket", None)  # a bucket run would raise TypeError
+    with pytest.raises(ValueError, match="depth_limit must be >= 0, got -1"):
+        cross_validate([2, 3], 4, depth_limit=-1)
+    # (3, 1) is a 3-core, which answers before the depth is looked at
+    with pytest.raises(ValueError, match="depth_limit must be >= 0, got -1"):
+        mullineux_conjectural((3, 1), 3, depth_limit=-1)
 
 
 def test_recursive_core_detection_shortens_recursion():

@@ -175,10 +175,18 @@ def test_enumeration_against_independent_generator():
 
 
 def test_e_regular_enumeration_is_filter():
-    for n in range(13):
-        for e in (2, 3, 4):
-            expected = [lam for lam in enumerate_partitions(n) if is_e_regular(lam, e)]
-            assert list(enumerate_e_regular(n, e)) == expected
+    for n in range(31):
+        everything = list(enumerate_partitions(n))
+        for e in (2, 3, 4, 5, 6):
+            expected = [lam for lam in everything if is_e_regular(lam, e)]
+            assert list(enumerate_e_regular(n, e)) == expected, (n, e)
+
+
+def test_e_regular_enumeration_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        list(enumerate_e_regular(3, 1))
+    with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
+        list(enumerate_e_regular(-1, 2))
 
 
 def test_bipartition_enumeration():
