@@ -37,6 +37,7 @@ from mullineux.errors import (
     NotKleshchevError,
     NotRegularError,
     NotUglovError,
+    PartitionTooLargeError,
     SizeOrderError,
 )
 from mullineux.level1 import (
@@ -66,6 +67,7 @@ from mullineux.level2 import (
     uglov_bipartitions,
 )
 from mullineux.partitions import (
+    MAX_RANK,
     Partition,
     as_partition,
     beta_set,
@@ -87,6 +89,7 @@ __all__ = [
     "BACKEND",
     "__version__",
     # partitions
+    "MAX_RANK",
     "Partition",
     "as_partition",
     "beta_set",
@@ -149,5 +152,6 @@ __all__ = [
     "NotKleshchevError",
     "NotRegularError",
     "NotUglovError",
+    "PartitionTooLargeError",
     "SizeOrderError",
 ]

@@ -2,7 +2,8 @@
 
 These are the inner loops of the sweep harnesses: rank-one crystal moves on
 partitions, full residue-path stripping and replay, the Mullineux map they
-compose to, and the greedy beta-set matching step.  Callers look the
+compose to (Kleshchev's algorithm), the same map by Mullineux's e-rim
+symbol, and the greedy beta-set matching step.  Callers look the
 functions up on this module at call time (kernels.psi_step(...)), so a
 wrapper installed on a module attribute sees every call.
 
@@ -139,6 +140,123 @@ def mullineux(parts, e):
     if strip is None:
         return None
     return replay(tuple((-r) % e for r in reversed(strip)), e)
+
+
+def remove_e_rim(parts, e):
+    """Remove the e-rim: returns (rest, number of nodes removed).
+
+    The e-rim is cut into segments of at most e rim nodes.  The first
+    starts at the last node of row 1; each runs down the rim, taking
+    min(left, rim_r) nodes in row r, where rim_r = parts_r - parts_{r+1} + 1
+    (parts_r in the last row), and the next starts on the row after the one
+    where the previous ran out.  Every row loses at least one node.
+    """
+    cur = list(parts)
+    last = len(cur) - 1
+    left, size = e, 0
+    for r in range(last):
+        take = cur[r] - cur[r + 1] + 1
+        if take > left:
+            take = left
+        cur[r] -= take
+        size += take
+        left = left - take or e
+    if last >= 0:
+        take = cur[last] if cur[last] < left else left
+        cur[last] -= take
+        size += take
+    while cur and not cur[-1]:
+        cur.pop()
+    return tuple(cur), size
+
+
+def _no_rim(rest, size, rows, e):
+    return ValueError(f"no partition of {rows} rows has a {size}-node {e}-rim leaving {rest}")
+
+
+def add_e_rim(rest, size, rows, e):
+    """The partition of `rows` rows whose e-rim has `size` nodes and leaves
+    `rest`; raises ValueError when there is none.
+
+    Rebuilt segment by segment: the rim has m = ceil(size/e) segments, all
+    of e nodes but the last, which has s = size - e(m-1).  With v the rest
+    padded to `rows` rows, a segment on rows r0..r1 puts
+    lam_r = v_{r-1} + 1 for r0 < r <= r1 and lam_r0 = its size + v_r1 -
+    (r1 - r0).  Its start must lose a node (lam_r0 > v_r0) and, below row 1,
+    be where the segment above ran out (lam_r0 <= v_{r0-1} + 1).  The last
+    segment ends on the last row, which it empties unless s = e.  Each r1 is
+    chosen smallest first, by an iterative backtracking search (a rim may
+    have thousands of segments, too many for recursion).
+    """
+    if size < 1 or rows < max(1, len(rest)):
+        raise _no_rim(rest, size, rows, e)
+    v = list(rest) + [0] * (rows - len(rest))
+    m = -(-size // e)
+    s = size - e * (m - 1)
+    last = rows - 1
+    if v[last] and s != e:
+        raise _no_rim(rest, size, rows, e)
+    ends = []  # the chosen r1 of every segment so far
+    r0 = r1 = 0  # the current segment's start and its next candidate end
+    while True:
+        after = m - 1 - len(ends)  # segments after this one
+        if after:
+            seg = e
+            # the segments after this one need at least one row each and
+            # can take at most (after - 1) * e + s rows
+            lo = last - (after - 1) * e - s
+            hi = min(last - after, r0 + e - 1)
+        else:
+            seg = s
+            lo = last
+            hi = min(last, r0 + s - 1)
+        r1 = max(r1, lo, r0)
+        while r1 <= hi:
+            top = seg + v[r1] - (r1 - r0)
+            if top > v[r0] and (r0 == 0 or top <= v[r0 - 1] + 1):
+                break
+            r1 += 1
+        if r1 <= hi:
+            ends.append(r1)
+            if not after:
+                break
+            r0 = r1 = r1 + 1
+            continue
+        if not ends:
+            raise _no_rim(rest, size, rows, e)
+        r1 = ends.pop() + 1
+        r0 = ends[-1] + 1 if ends else 0
+    lam = [0] + [x + 1 for x in v[:last]]
+    r0 = 0
+    for i, r1 in enumerate(ends):
+        lam[r0] = (e if i < m - 1 else s) + v[r1] - (r1 - r0)
+        r0 = r1 + 1
+    return tuple(lam)
+
+
+def mullineux_symbol(parts, e):
+    """Mullineux image via the e-rim symbol, or None if parts is not e-regular.
+
+    Removing e-rims down to the empty partition gives one column (A, R)
+    per rim: A nodes removed from a partition of R rows.  The image is the
+    partition whose columns are (A, A - R + eps), eps = 0 if e divides A and
+    1 otherwise (Mullineux 1979; Ford-Kleshchev 1997), rebuilt from the last
+    column back with add_e_rim.  Every rim takes a node from every row, so a
+    call costs about one pass over the nodes.
+    """
+    _check_modulus(e)
+    if any(parts[i] == parts[i + e - 1] for i in range(len(parts) - e + 1)):
+        return None
+    columns = []
+    cur = tuple(parts)
+    while cur:
+        rows = len(cur)
+        cur, size = remove_e_rim(cur, e)
+        columns.append((size, rows))
+    image = ()
+    for size, rows in reversed(columns):
+        image = add_e_rim(image, size, size - rows + (1 if size % e else 0), e)
+    return image
 
 
 def psi_step(e, x1, x2):

@@ -191,7 +191,13 @@ def cmd_psi(args) -> int:
         stages = [(s, blam, image)]
     steps = [_step_doc(e, args.inverse, *stage) for stage in stages]
     if args.inverse and not args.to_dominant:
-        steps[0]["charges"] = [s1, s2 + e]  # a lone inverse step names its input's bicharge
+        # A lone inverse step is labelled by the bicharge its input is read
+        # at, (s1, s2 + e): that is where the bipartition on the command line
+        # lives.  Walk stages in either direction are labelled by the lower
+        # bicharge of their step, so an inverse walk lists the forward walk's
+        # labels in reverse order; its input lives at the stabilized
+        # bicharge, above every stage.  Every symbol also carries its charge.
+        steps[0]["charges"] = [s1, s2 + e]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "psi",

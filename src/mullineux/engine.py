@@ -7,8 +7,14 @@ under test, and any failure is collected as a counterexample, never raised.
 Its towers stop at the first stage whose pair meets the walks' shortcut,
 since every later stage is then provably an inclusion (see
 conjecture_tower); the report is the one the full towers give.
-The cross-validation sweep runs the recursive algorithm against the crystal
-oracle on every e-regular partition in range.
+The cross-validation sweep runs the recursive algorithm against a proven
+oracle on every e-regular partition in range.  That oracle is Mullineux's
+e-rim symbol (kernels.mullineux_symbol), which costs about one pass over
+the nodes, rather than Kleshchev's residue-path algorithm
+(kernels.mullineux), which rescans every row for every node; both give the
+same image, so the report is the same either way.  Kleshchev's algorithm
+remains the oracle of mull, level1 and the recursion's oracle_fallback, and
+the test suite checks the two oracles against each other.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -61,6 +67,7 @@ from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRe
 from mullineux.partitions import (
     Partition,
     beta_set,
+    check_rank,
     conjugate,
     enumerate_e_regular,
     enumerate_partitions,
@@ -398,12 +405,14 @@ def mullineux_conjectural(
     counterexample) when the two pulled-back components disagree, and
     DepthExceededError when the recursion exceeds depth_limit, unless
     oracle_fallback is set, in which case the crystal oracle answers for
-    the too-deep subcalls.
+    the too-deep subcalls.  Raises PartitionTooLargeError above
+    partitions.MAX_RANK.
     """
     if e < 2:
         raise ValueError(f"modulus must be >= 2, got {e}")
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+    check_rank(lam)
     if not is_e_regular(lam, e):
         raise NotRegularError(f"{lam} is not {e}-regular")
     trace = _conjectural(lam, e, 0, depth_limit, oracle_fallback)
@@ -415,9 +424,17 @@ def mullineux_conjectural(
 
 
 def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
+    """Failure dicts for lam: the recursion against a proven oracle, and the
+    stabilized walks of (lam, lam) at moduli 2e and e against each other.
+
+    The oracle is Mullineux's e-rim symbol, kernels.mullineux_symbol, not
+    Kleshchev's kernels.mullineux: both are proven and agree, and the symbol
+    costs about one pass over the nodes instead of a rescan of every row per
+    node.  An oracle error reaches _bucket, which records it as kind "error".
+    """
     name = format_partition(lam)
     failures = []
-    oracle = kernels.mullineux(lam, e)
+    oracle = kernels.mullineux_symbol(lam, e)
     trace = None
     try:
         recursive, trace = mullineux_conjectural(lam, e, depth_limit=depth_limit)
@@ -469,7 +486,7 @@ def cross_validate(
     depth_limit: int = 16,
     jobs: int = 1,
 ) -> SweepReport:
-    """Compare the recursive algorithm with the crystal oracle on every
+    """Compare the recursive algorithm with the e-rim symbol oracle on every
     e-regular partition of rank <= n_max, and check that the stabilized
     isomorphism of (lam, lam) agrees between modulus 2e at bicharge (0, e)
     and modulus e at bicharge (0, 0).  Mismatches are recorded, not raised.

@@ -5,6 +5,10 @@ class NotRegularError(ValueError):
     """Partition is not e-regular, so it has no residue path to the empty partition."""
 
 
+class PartitionTooLargeError(ValueError):
+    """Partition rank exceeds partitions.MAX_RANK, the size the entry points accept."""
+
+
 class NotUglovError(ValueError):
     """Bipartition is not reachable from the empty bipartition at the given bicharge."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from mullineux._core import kernels
 from mullineux.errors import NotRegularError
-from mullineux.partitions import Partition, enumerate_e_regular
+from mullineux.partitions import Partition, check_rank, enumerate_e_regular
 
 Node = tuple[int, int]
 
@@ -114,7 +114,10 @@ def residue_path_to_empty(lam: Partition, e: int) -> tuple[int, ...]:
 
 
 def mullineux_kleshchev(lam: Partition, e: int) -> Partition:
-    """Mullineux involution of an e-regular partition by path negation."""
+    """Mullineux involution of an e-regular partition by path negation.
+
+    Raises PartitionTooLargeError above partitions.MAX_RANK."""
+    check_rank(lam)
     image = kernels.mullineux(lam, e)
     if image is None:
         raise NotRegularError(f"{lam} is not {e}-regular")

@@ -80,6 +80,13 @@ def test_mull_trace(capsys):
     assert trace["mu"] == ["3,3,2,2,1,1", "6,5,5,4,1,1"]
 
 
+def test_mull_oversized_input_is_a_usage_error(capsys):
+    for lam in ("2147483647", "10000,1"):
+        code, out, err = run_cli(capsys, "mull", "--e", "2", "--lambda", lam)
+        assert code == 1 and out == ""
+        assert "exceeds MAX_RANK = 10000" in err
+
+
 def test_mull_usage_errors(capsys):
     assert run_cli(capsys, "mull", "--e", "3", "--lambda", "1,2")[0] == 1
     assert run_cli(capsys, "mull", "--e", "1", "--lambda", "2,1")[0] == 1
@@ -208,7 +215,7 @@ def test_sweep_error_exits_two(capsys, monkeypatch):
         raise RuntimeError("broken check")
 
     monkeypatch.setattr(cli.engine, "conjecture_tower", broken)
-    monkeypatch.setattr(cli.engine.kernels, "mullineux", broken)
+    monkeypatch.setattr(cli.engine.kernels, "mullineux_symbol", broken)
     for command in ("verify-conjecture", "cross-validate"):
         code, out, _ = run_cli(capsys, command, "--e", "3", "--max-n", "1", "--jobs", "1")
         assert code == 2

@@ -451,7 +451,7 @@ def fail_on(monkeypatch, module, name, args, exc):
         ),
         (
             lambda jobs: cross_validate([2, 3], 7, jobs=jobs),
-            (engine.kernels, "mullineux"),
+            (engine.kernels, "mullineux_symbol"),
             ((3, 1), 3),
             ValueError("bad part"),
         ),

@@ -230,6 +230,123 @@ def test_path_choice_does_not_matter(rng):
 
 
 # ---------------------------------------------------------------------------
+# the e-rim symbol oracle
+
+
+def brute_force_e_rim(lam, e):
+    """The cells of the e-rim, read off the diagram.
+
+    Rim cells have no cell diagonally below them; read along the rim from
+    the end of row 1, they come row by row, right to left.  A segment takes
+    the next e of them, or what is left; the next segment starts at the end
+    of the row below the last one the previous segment touched.
+    """
+    cells = diagram(lam)
+    rim = sorted((c for c in cells if (c[0] + 1, c[1] + 1) not in cells), key=lambda c: (c[0], -c[1]))
+    taken, i = [], 0
+    while i < len(rim):
+        segment = rim[i : i + e]
+        taken += segment
+        below = segment[-1][0] + 1
+        i = next((k for k, c in enumerate(rim) if c[0] == below), len(rim))
+    return set(taken)
+
+
+def random_e_regular(rng, n, e):
+    """A seeded random e-regular partition of n.  Each part value, below the
+    last, repeats at most e-1 times and is chosen so that the values below
+    it can still make up the rest."""
+    parts, cap = [], n
+    while n:
+        low = next(p for p in range(1, cap + 1) if (e - 1) * p * (p + 1) // 2 >= n)
+        p = rng.randint(low, min(cap, n))
+        most = min(e - 1, n // p)
+        least = next(m for m in range(1, most + 1) if n - m * p <= (e - 1) * (p - 1) * p // 2)
+        m = rng.randint(least, most)
+        parts += [p] * m
+        n -= m * p
+        cap = p - 1
+    return tuple(parts)
+
+
+# every e-regular partition of rank <= 20 at e = 2..5 and of rank <= 16 at e = 6, 7
+SYMBOL_GRID = [
+    (lam, e)
+    for e, n_max in ((2, 20), (3, 20), (4, 20), (5, 20), (6, 16), (7, 16))
+    for n in range(n_max + 1)
+    for lam in enumerate_e_regular(n, e)
+]
+
+
+def test_remove_e_rim_matches_the_diagram():
+    for e in range(2, 6):
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                rest, size = kernels.remove_e_rim(lam, e)
+                rim = brute_force_e_rim(lam, e)
+                assert diagram(rest) == diagram(lam) - rim
+                assert size == len(rim)
+
+
+def test_symbol_matches_kleshchev():
+    assert len(SYMBOL_GRID) == 6381  # Glaisher: as many as partitions with no part divisible by e
+    for lam, e in SYMBOL_GRID:
+        assert kernels.mullineux_symbol(lam, e) == kernels.mullineux(lam, e), (lam, e)
+
+
+def test_symbol_matches_kleshchev_at_large_rank(rng):
+    for _ in range(40):
+        e = rng.randint(2, 7)
+        lam = random_e_regular(rng, rng.randint(150, 300), e)
+        assert is_e_regular(lam, e)
+        assert kernels.mullineux_symbol(lam, e) == kernels.mullineux(lam, e), (lam, e)
+
+
+def test_adding_the_removed_rim_gives_the_partition_back():
+    for lam, e in SYMBOL_GRID:
+        if lam:
+            rest, size = kernels.remove_e_rim(lam, e)
+            assert kernels.add_e_rim(rest, size, len(lam), e) == lam
+
+
+def test_long_rims_are_rebuilt_without_recursion():
+    # one 2-rim of this staircase has 1,100 segments, more frames than
+    # Python's default recursion limit allows
+    staircase = tuple(range(1100, 0, -1))
+    rest, size = kernels.remove_e_rim(staircase, 2)
+    assert size == 2199 and rest == tuple(range(1098, 0, -1))
+    assert kernels.add_e_rim(rest, size, len(staircase), 2) == staircase
+    assert kernels.remove_e_rim((3000,), 2) == ((2998,), 2)
+    assert kernels.mullineux_symbol((3000,), 2) == (3000,)
+
+
+def test_symbol_is_none_off_regular_partitions():
+    for e in range(2, 6):
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                assert (kernels.mullineux_symbol(lam, e) is None) == (not is_e_regular(lam, e))
+
+
+def test_add_e_rim_finds_a_partition_exactly_when_one_exists():
+    for e in (2, 3, 4):
+        n_max = 12
+        exists = {}  # (rest, size, rows) -> every partition removing to it
+        for n in range(1, n_max + 1):
+            for lam in enumerate_partitions(n):
+                exists.setdefault((*kernels.remove_e_rim(lam, e), len(lam)), []).append(lam)
+        for n in range(n_max):
+            for rest in enumerate_partitions(n):
+                for size in range(0, n_max - n + 1):
+                    for rows in range(len(rest), len(rest) + size + 1):
+                        key = (rest, size, rows)
+                        if key in exists:
+                            assert kernels.add_e_rim(rest, size, rows, e) in exists[key], key
+                        else:
+                            with pytest.raises(ValueError, match="no partition of"):
+                                kernels.add_e_rim(rest, size, rows, e)
+
+
+# ---------------------------------------------------------------------------
 # crystal graph
 
 

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mullineux.engine import mullineux_conjectural
+from mullineux.errors import PartitionTooLargeError
+from mullineux.level1 import mullineux_kleshchev
 from mullineux.partitions import (
+    MAX_RANK,
     as_partition,
     beta_set,
     conjugate,
@@ -19,6 +23,8 @@ from mullineux.partitions import (
     enumerate_partitions,
     is_e_core,
     is_e_regular,
+    format_partition,
+    parse_partition,
     partition_from_beta_set,
 )
 
@@ -187,6 +193,53 @@ def test_e_regular_enumeration_rejects_bad_arguments():
         list(enumerate_e_regular(3, 1))
     with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
         list(enumerate_e_regular(-1, 2))
+
+
+def test_enumeration_rejects_a_negative_rank():
+    with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
+        list(enumerate_partitions(-1))
+
+
+# ---------------------------------------------------------------------------
+# the size contract
+
+
+@st.composite
+def oversized_partitions(draw):
+    """A partition of rank above MAX_RANK, from one huge part to many small ones."""
+    parts = sorted(draw(st.lists(st.integers(1, 2**62), min_size=1, max_size=40)), reverse=True)
+    if sum(parts) <= MAX_RANK:
+        parts[0] += MAX_RANK
+    return tuple(parts)
+
+
+@given(oversized_partitions(), st.integers(2, 7))
+@settings(max_examples=100, deadline=200)  # fail fast: each example within 200 ms
+def test_oversized_input_raises_the_typed_error(lam, e):
+    with pytest.raises(PartitionTooLargeError, match="exceeds MAX_RANK = 10000"):
+        parse_partition(format_partition(lam))
+    with pytest.raises(PartitionTooLargeError):
+        mullineux_kleshchev(lam, e)
+    with pytest.raises(PartitionTooLargeError):
+        mullineux_conjectural(lam, e)
+
+
+@given(partitions(max_rank=60))
+@settings(max_examples=300)
+def test_valid_input_round_trips(lam):
+    text = format_partition(lam)
+    assert parse_partition(text) == lam
+    assert format_partition(parse_partition(text)) == text
+
+
+def test_rank_limit_is_inclusive():
+    assert parse_partition(str(MAX_RANK)) == (MAX_RANK,)
+    assert mullineux_kleshchev((MAX_RANK,), 2) == (MAX_RANK,)
+    # every partition of rank MAX_RANK is a (MAX_RANK + 1)-core, so the
+    # recursion answers at once by conjugation
+    assert mullineux_conjectural((MAX_RANK,), MAX_RANK + 1)[0] == (1,) * MAX_RANK
+    with pytest.raises(PartitionTooLargeError):
+        parse_partition(f"{MAX_RANK},1")
 
 
 def test_bipartition_enumeration():
