@@ -10,14 +10,19 @@ and the charge gap detects when all remaining steps act as the identity,
 which both stops the forward walk soundly and skips inert stages of the
 inverse walk.
 
-Both walks are the one stage generator `walk`: psi_tilde and
+Both walks are the one stage generator `walk_beta_sets`, which runs on a
+beta-set pair: the recursion in mullineux.engine keeps its partitions as
+beta-sets and calls it through psi_tilde_beta_sets.  `walk` is the same
+generator from a bipartition, encoded at minimal padding; psi_tilde and
 psi_tilde_inverse keep only where it ends, and the CLI renders every
 stage of it.  The walk carries the pair as beta-sets from stage to stage
 and never re-encodes it: a step's output is the next step's input at the
 same padding, and the inverse walk pads only when the next step needs a
-longer staircase.  On beta-sets the shortcut is O(1): the largest element
-of the first set must lie in the staircase run 0, 1, ... that starts the
-second (shortcut_on_beta_sets).  Partitions are decoded only where one is
+longer staircase.  The inverse walk reads the rank, the first part and
+the part counts it needs off the pair, so its input may come at any
+padding.  On beta-sets the shortcut is O(1): the largest element of the
+first set must lie in the staircase run 0, 1, ... that starts the second
+(shortcut_on_beta_sets).  Partitions are decoded only where one is
 needed, for the final image and for rendering.
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
@@ -27,12 +32,14 @@ bipartitions, which is a tested property, not an input check.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from mullineux._core import kernels
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
-from mullineux.level2 import Bicharge, Bipartition, rank2, stable_shift
-from mullineux.partitions import beta_set, partition_from_beta_set
+from mullineux.level2 import Bicharge, Bipartition, stable_shift
+from mullineux.partitions import beta_set, minimal_beta_set, pad_beta_set, partition_from_beta_set
 
 BetaPair = tuple[tuple[int, ...], tuple[int, ...]]
 # (stage bicharge, beta-set pair before the step, after it or None if skipped)
@@ -164,23 +171,30 @@ def shortcut_on_beta_sets(x1: tuple[int, ...], x2: tuple[int, ...], shift: int =
 
 
 def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Iterator[Stage]:
-    """The stages of the stabilized isomorphism walk from blam at bicharge s.
+    """walk_beta_sets from blam encoded at bicharge s with minimal padding."""
+    yield from walk_beta_sets(e, s, encode_bipartition(blam, s), inverse)
+
+
+def walk_beta_sets(e: int, s: Bicharge, pair: BetaPair, inverse: bool = False) -> Iterator[Stage]:
+    """The stages of the stabilized isomorphism walk from a beta-set pair at bicharge s.
 
     Yields (stage, before, after), where stage is the bicharge the step is
     taken at, before and after are beta-set pairs (decode_bipartition reads
     them; their padding is not fixed) and after is None at a stage where
-    the shortcut applies, which is an identity.  The forward walk encodes
-    blam at s with minimal padding, steps upward and ends with its first
-    shortcut stage: from there on every step is the identity.  It always
-    terminates because steps preserve the rank n, which bounds the first
-    part and the part count, while the charge gap grows by e each step;
-    the shortcut inequality is forced once the gap exceeds 2n.
+    the shortcut applies, which is an identity.  The forward walk takes
+    pair as the encoding of a bipartition at s, at any padding, steps
+    upward and ends with its first shortcut stage: from there on every step
+    is the identity.  It always terminates because steps preserve the rank
+    n, which bounds the first part and the part count, while the charge gap
+    grows by e each step; the shortcut inequality is forced once the gap
+    exceeds 2n.
 
-    The inverse walk yields all stable_shift(s, n, e) stages from above the
-    charge gap 2n, where they are inert for every bipartition of rank n,
-    down to s itself.  The shortcut inequality on blam gives the first
+    The inverse walk reads only the two partitions off pair, whose sets may
+    have any padding each, and yields all stable_shift(s, n, e) stages from
+    above the charge gap 2n, where they are inert for every bipartition of
+    rank n, down to s itself.  The shortcut inequality gives the first
     stage where it fails, so the stages above are inert without a test and
-    the pair is first encoded there, at that stage's minimal padding read
+    the pair is first padded there, to that stage's minimal padding read
     at the bicharge above it.  From there each stage is tested on the pair
     and inverted for real where the shortcut fails, padding the pair first
     if its second set lacks the staircase 0..e-1 the step removes.
@@ -190,7 +204,6 @@ def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Itera
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
     if not inverse:
         stage = s
-        pair = encode_bipartition(blam, s)
         while not shortcut_on_beta_sets(*pair):
             nxt = kernels.psi_step(e, *pair)
             yield stage, pair, nxt
@@ -198,17 +211,25 @@ def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Itera
             stage = (s1, stage[1] + e)
         yield stage, pair, None
         return
-    k = stable_shift(s, rank2(blam), e)
+    a, b = minimal_beta_set(pair[0]), minimal_beta_set(pair[1])
+    n = sum(a) + sum(b) - (len(a) * (len(a) - 1) + len(b) * (len(b) - 1)) // 2
+    k = stable_shift(s, n, e)
     if k == 0:
         return
-    # shortcut_applies(blam, (s1, s2 + j*e)) fails exactly for j*e < gap
-    gap = (blam[0][0] if blam[0] else 0) + len(blam[1]) + s1 - s2
-    top = min(k - 1, (gap - 1) // e)
-    low = (s1, s2 + max(top, 0) * e)
-    pair = encode_bipartition(blam, (s1, low[1] + e), minimal_padding(blam, low))
-    for j in range(k - 1, -1, -1):
+    # at minimal padding only (0,), the empty partition, starts with 0
+    parts1, parts2 = len(a) if a[0] else 0, len(b) if b[0] else 0
+    # shortcut_applies(blam, (s1, s2 + j*e)) fails exactly for j*e < gap,
+    # where a[-1] - len(a) + 1 is the first part of the first partition
+    gap = a[-1] - len(a) + 1 + parts2 + s1 - s2
+    top = max(-1, min(k - 1, (gap - 1) // e))
+    low = s2 + max(top, 0) * e
+    m = max(1 - s1, parts1 - s1, parts2 - low)
+    pair = pad_beta_set(a, m + s1), pad_beta_set(b, m + low + e)
+    # the stages above top, inert without a test, go out without a step each
+    yield from zip([(s1, s2 + j * e) for j in range(k - 1, top, -1)], repeat(pair), repeat(None))
+    for j in range(top, -1, -1):
         stage = (s1, s2 + j * e)
-        if j > top or shortcut_on_beta_sets(pair[0], pair[1], e):
+        if shortcut_on_beta_sets(pair[0], pair[1], e):
             yield stage, pair, None
             continue
         y1, y2 = pair
@@ -217,20 +238,29 @@ def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Itera
             while run < len(y2) and y2[run] == run:
                 run += 1
             pad = e - run
-            y1 = tuple(range(pad)) + tuple(v + pad for v in y1)
-            y2 = tuple(range(pad)) + tuple(v + pad for v in y2)
+            y1, y2 = pad_beta_set(y1, len(y1) + pad), pad_beta_set(y2, len(y2) + pad)
         nxt = kernels.psi_step_inverse(e, y1, y2)
         yield stage, pair, nxt
         pair = nxt
 
 
+def walk_end(pair: BetaPair, stages: Iterable[Stage]) -> BetaPair:
+    """The pair a run of stages ends on: pair itself if there are no stages."""
+    # the last stage holds the result: its output, or its input if it was skipped
+    for _, before, after in deque(stages, maxlen=1):
+        return before if after is None else after
+    return pair
+
+
 def walk_image(blam: Bipartition, stages: Iterable[Stage]) -> Bipartition:
-    """Where a run of stages starting at blam ends (blam itself if no step ran)."""
-    last = None
-    for _, _, after in stages:
-        if after is not None:
-            last = after
+    """Where a run of stages starting at blam ends (blam itself if there are none)."""
+    last = walk_end(None, stages)
     return blam if last is None else decode_bipartition(last)
+
+
+def psi_tilde_beta_sets(e: int, s: Bicharge, pair: BetaPair, inverse: bool = False) -> BetaPair:
+    """Where walk_beta_sets ends: psi_tilde (or psi_tilde_inverse) on beta-sets."""
+    return walk_end(pair, walk_beta_sets(e, s, pair, inverse))
 
 
 def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:

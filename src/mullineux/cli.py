@@ -48,8 +48,13 @@ def format_bipartition(blam) -> str:
 
 
 def parse_int_list(text: str, option: str) -> list[int]:
+    """Comma-separated ints.  Text with only blank entries ("", ",") is the
+    empty list; a blank entry beside a value ("2,,3", "2,") is an error."""
+    chunks = text.split(",")
+    if not any(chunk.strip() for chunk in chunks):
+        return []
     try:
-        return [int(chunk) for chunk in text.split(",") if chunk.strip() != ""]
+        return [int(chunk) for chunk in chunks]
     except ValueError:
         raise ValueError(f"{option} takes comma-separated ints, got {text!r}") from None
 

@@ -22,13 +22,24 @@ image of (lam, lam) at modulus 2e and bicharge (0, e), apply the modulus-2e
 involution to both components, pull back, and read the answer off the two
 components, which must agree.  Conjugation of e-cores is the base case.
 
+The recursion works on beta-sets at minimal padding, beta_set(lam,
+max(1, len(lam))), from end to end: a partition is encoded once on entry,
+the regularity and e-core tests and the base case's conjugation read the
+beta-set, the walks (betamaps.psi_tilde_beta_sets) take and return
+beta-set pairs, and the children get the forward walk's pair trimmed back
+to minimal padding.  A MullineuxTrace stores those beta-sets and decodes
+its partition fields only when they are read, for error text, to_dict and
+the top-level image.
+
 The recursion revisits the same subproblems many times, both within one
 partition's trace tree and across the partitions of a sweep, so each
 process keeps a bounded least-recently-used memo of recursion nodes.  It
 is keyed on everything a node's outcome and its error text depend on: the
-partition, the modulus, the depth (with depth_limit, the remaining depth
-budget), depth_limit and oracle_fallback.  It stores ConjectureViolationError
-and DepthExceededError outcomes as well as traces and raises them again on
+partition's beta-set at minimal padding (as long as the partition, and in
+one-to-one correspondence with it), the modulus, the depth (with
+depth_limit, the remaining depth budget), depth_limit and
+oracle_fallback.  It stores ConjectureViolationError and
+DepthExceededError outcomes as well as traces and raises them again on
 every hit, so a violation is never masked; a hit returns the very trace
 object computed first, so trace trees share subtrees instead of copying
 them.  The memo holds MEMO_SIZE nodes because an unbounded one costs
@@ -58,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -67,15 +79,27 @@ from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRe
 from mullineux.partitions import (
     Partition,
     beta_set,
+    beta_set_is_e_core,
+    beta_set_is_e_regular,
     check_rank,
-    conjugate,
+    conjugate_beta_set,
     enumerate_e_regular,
     enumerate_partitions,
     format_partition,
-    is_e_core,
     is_e_regular,
+    minimal_beta_set,
+    pad_beta_set,
+    partition_from_beta_set,
 )
 from mullineux.schema import SCHEMA_VERSION
+
+Beta = tuple[int, ...]
+BetaPair = tuple[Beta, Beta]
+
+
+def _encode(lam: Partition) -> Beta:
+    """lam's beta-set at minimal padding, the form the recursion and the towers start from."""
+    return beta_set(lam, max(1, len(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +245,8 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
         raise ValueError(f"moduli must be distinct, got {list(e_list)}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = [(e, n) for e in e_list for n in range(n_max + 1)]
     tasks = [(check, e, n, regular_only, params) for e, n in grid]
     if jobs > 1 and len(tasks) > 1:
@@ -247,7 +273,7 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
 
 
 def _tower_failures(lam: Partition, e: int, k_max: int) -> list[dict]:
-    x = beta_set(lam, max(1, len(lam)))
+    x = _encode(lam)
     return [
         {
             "e": e,
@@ -291,31 +317,65 @@ def sweep_conjecture(
 # recursive Mullineux
 
 
-@dataclass(frozen=True)
-class MullineuxTrace:
-    """One level of the recursion: what was computed at this modulus."""
+class MullineuxTrace(
+    namedtuple("MullineuxTrace", "modulus beta base_case image_beta mu_beta children nu_beta oracle_fallback")
+):
+    """One level of the recursion: what was computed at this modulus.
 
-    modulus: int
-    partition: Partition
-    base_case: bool
-    image: Partition | None
-    mu: tuple[Partition, Partition] | None = None
-    children: tuple["MullineuxTrace", ...] = ()
-    nu: tuple[tuple, tuple] | None = None
-    oracle_fallback: bool = False
+    It stores what the recursion computes, beta-sets at minimal padding
+    (beta, image_beta, mu_beta, nu_beta), and decodes partition, image, mu
+    and nu on access.  The constructor takes partitions; the recursion
+    builds traces with of_beta_sets.  A named tuple keeps the fields
+    immutable and costs less to define at import than a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, modulus, partition, base_case, image, mu=None, children=(), nu=None, oracle_fallback=False):
+        def pair(p):
+            return None if p is None else (_encode(p[0]), _encode(p[1]))
+
+        image_beta = None if image is None else _encode(image)
+        return cls.of_beta_sets(modulus, _encode(partition), base_case, image_beta, pair(mu), children, pair(nu), oracle_fallback)
+
+    @classmethod
+    def of_beta_sets(
+        cls, modulus, beta, base_case, image_beta, mu_beta=None, children=(), nu_beta=None, oracle_fallback=False
+    ) -> "MullineuxTrace":
+        return tuple.__new__(cls, (modulus, beta, base_case, image_beta, mu_beta, children, nu_beta, oracle_fallback))
+
+    def __reduce__(self):
+        # unpickle through of_beta_sets: the constructor would encode the beta-sets again
+        return type(self).of_beta_sets, tuple(self)
+
+    @property
+    def partition(self) -> Partition:
+        return partition_from_beta_set(self.beta)
+
+    @property
+    def image(self) -> Partition | None:
+        return None if self.image_beta is None else partition_from_beta_set(self.image_beta)
+
+    @property
+    def mu(self) -> tuple[Partition, Partition] | None:
+        return None if self.mu_beta is None else betamaps.decode_bipartition(self.mu_beta)
+
+    @property
+    def nu(self) -> tuple[Partition, Partition] | None:
+        return None if self.nu_beta is None else betamaps.decode_bipartition(self.nu_beta)
 
     def to_dict(self) -> dict:
         doc = {
             "modulus": self.modulus,
             "partition": format_partition(self.partition),
             "base_case": self.base_case,
-            "image": format_partition(self.image) if self.image is not None else None,
+            "image": format_partition(self.image) if self.image_beta is not None else None,
         }
         if self.oracle_fallback:
             doc["oracle_fallback"] = True
-        if self.mu is not None:
+        if self.mu_beta is not None:
             doc["mu"] = [format_partition(p) for p in self.mu]
-        if self.nu is not None:
+        if self.nu_beta is not None:
             doc["nu"] = [format_partition(p) for p in self.nu]
         if self.children:
             doc["children"] = [c.to_dict() for c in self.children]
@@ -325,9 +385,9 @@ class MullineuxTrace:
 MEMO_SIZE = 512  # recursion nodes per process; see the module docstring
 
 
-def _conjectural(lam: Partition, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
+def _conjectural(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     """One recursion node through the memo: its trace, or the error it raised."""
-    outcome = _outcome(lam, e, depth, depth_limit, oracle_fallback)
+    outcome = _outcome(x, e, depth, depth_limit, oracle_fallback)
     if isinstance(outcome, MullineuxTrace):
         return outcome
     # drop the traceback of the earlier raise, which would otherwise grow with every hit
@@ -335,27 +395,38 @@ def _conjectural(lam: Partition, e: int, depth: int, depth_limit: int, oracle_fa
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _outcome(lam: Partition, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
+def _outcome(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     try:
-        return _node(lam, e, depth, depth_limit, oracle_fallback)
+        return _node(x, e, depth, depth_limit, oracle_fallback)
     except (ConjectureViolationError, DepthExceededError) as exc:
         return exc
 
 
-def _node(lam: Partition, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
-    if not is_e_regular(lam, e):
+def _diagonal_walk(e: int, s2: int, x: Beta) -> BetaPair:
+    """psi_tilde(e, (0, s2), (lam, lam)) for lam = the partition x encodes,
+    as two beta-sets at minimal padding."""
+    y1, y2 = betamaps.psi_tilde_beta_sets(e, (0, s2), (x, pad_beta_set(x, len(x) + s2)))
+    return minimal_beta_set(y1), minimal_beta_set(y2)
+
+
+def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
+    """The recursion at one node, on lam's beta-set x at minimal padding."""
+    if not beta_set_is_e_regular(x, e):
         # only reachable below the top level; the top-level call pre-checks
+        lam = partition_from_beta_set(x)
         raise ConjectureViolationError(
             f"intermediate component {lam} is not {e}-regular",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace(e, lam, False, None),
+            trace=MullineuxTrace.of_beta_sets(e, x, False, None),
         )
-    if is_e_core(lam, e):
-        return MullineuxTrace(e, lam, True, conjugate(lam))
+    if beta_set_is_e_core(x, e):
+        return MullineuxTrace.of_beta_sets(e, x, True, conjugate_beta_set(x))
     if depth >= depth_limit:
+        lam = partition_from_beta_set(x)
         if oracle_fallback:
-            return MullineuxTrace(e, lam, False, kernels.mullineux(lam, e), oracle_fallback=True)
+            image = _encode(kernels.mullineux(lam, e))
+            return MullineuxTrace.of_beta_sets(e, x, False, image, oracle_fallback=True)
         raise DepthExceededError(
             f"depth limit {depth_limit} reached at modulus {e} on {lam}",
             partition=lam,
@@ -363,34 +434,39 @@ def _node(lam: Partition, e: int, depth: int, depth_limit: int, oracle_fallback:
             depth=depth,
         )
     try:
-        mu = betamaps.psi_tilde(2 * e, (0, e), (lam, lam))
+        mu = _diagonal_walk(2 * e, e, x)
     except ValueError as exc:
+        lam = partition_from_beta_set(x)
         raise ConjectureViolationError(
             f"isomorphism walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace(e, lam, False, None),
+            trace=MullineuxTrace.of_beta_sets(e, x, False, None),
         ) from exc
     child1 = _conjectural(mu[0], 2 * e, depth + 1, depth_limit, oracle_fallback)
     child2 = _conjectural(mu[1], 2 * e, depth + 1, depth_limit, oracle_fallback)
+    children = (child1, child2)
     try:
-        nu = betamaps.psi_tilde_inverse(2 * e, (0, e), (child1.image, child2.image))
+        back = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (child1.image_beta, child2.image_beta), True)
     except ValueError as exc:
+        lam = partition_from_beta_set(x)
         raise ConjectureViolationError(
             f"inverse walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace(e, lam, False, None, mu=mu, children=(child1, child2)),
+            trace=MullineuxTrace.of_beta_sets(e, x, False, None, mu, children),
         ) from exc
-    trace = MullineuxTrace(e, lam, False, None, mu=mu, children=(child1, child2), nu=nu)
+    nu = minimal_beta_set(back[0]), minimal_beta_set(back[1])
     if nu[0] != nu[1]:
+        trace = MullineuxTrace.of_beta_sets(e, x, False, None, mu, children, nu)
+        lam = partition_from_beta_set(x)
         raise ConjectureViolationError(
-            f"pulled-back components disagree at modulus {e} on {lam}: {nu[0]} != {nu[1]}",
+            f"pulled-back components disagree at modulus {e} on {lam}: {trace.nu[0]} != {trace.nu[1]}",
             partition=lam,
             modulus=e,
             trace=trace,
         )
-    return MullineuxTrace(e, lam, False, nu[0], mu=mu, children=(child1, child2), nu=nu)
+    return MullineuxTrace.of_beta_sets(e, x, False, nu[0], mu, children, nu)
 
 
 def mullineux_conjectural(
@@ -415,7 +491,7 @@ def mullineux_conjectural(
     check_rank(lam)
     if not is_e_regular(lam, e):
         raise NotRegularError(f"{lam} is not {e}-regular")
-    trace = _conjectural(lam, e, 0, depth_limit, oracle_fallback)
+    trace = _conjectural(_encode(lam), e, 0, depth_limit, oracle_fallback)
     return trace.image, trace
 
 
@@ -431,6 +507,7 @@ def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
     Kleshchev's kernels.mullineux: both are proven and agree, and the symbol
     costs about one pass over the nodes instead of a rescan of every row per
     node.  An oracle error reaches _bucket, which records it as kind "error".
+    The walks are compared on beta-sets and decoded only for a mismatch.
     """
     name = format_partition(lam)
     failures = []
@@ -460,21 +537,19 @@ def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
         )
     except DepthExceededError as exc:
         failures.append({"e": e, "partition": name, "kind": "depth_exceeded", "detail": str(exc)})
-    # the recursion's top level already walked (lam, lam) at modulus 2e,
-    # except at an e-core or when it raised
-    if trace is not None and trace.mu is not None:
-        double = trace.mu
-    else:
-        double = betamaps.psi_tilde(2 * e, (0, e), (lam, lam))
-    single = betamaps.psi_tilde(e, (0, 0), (lam, lam))
+    # the recursion encoded lam and, except at an e-core or when it raised,
+    # already walked (lam, lam) at modulus 2e
+    x = _encode(lam) if trace is None else trace.beta
+    double = _diagonal_walk(2 * e, e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
+    single = _diagonal_walk(e, 0, x)
     if double != single:
         failures.append(
             {
                 "e": e,
                 "partition": name,
                 "kind": "isomorphism_mismatch",
-                "at_2e": [format_partition(p) for p in double],
-                "at_e": [format_partition(p) for p in single],
+                "at_2e": [format_partition(p) for p in betamaps.decode_bipartition(double)],
+                "at_e": [format_partition(p) for p in betamaps.decode_bipartition(single)],
             }
         )
     return failures

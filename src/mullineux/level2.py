@@ -176,10 +176,7 @@ def stable_shift(s: Bicharge, n: int, e: int) -> int:
     must be positive: a large gap of the opposite sign stabilizes too, but
     to a different crystal with the component roles exchanged.
     """
-    k = 0
-    while s[1] + k * e - s[0] <= 2 * n:
-        k += 1
-    return k
+    return max(0, (2 * n - s[1] + s[0]) // e + 1)
 
 
 def is_kleshchev(blam: Bipartition, e: int, s: Bicharge) -> bool:

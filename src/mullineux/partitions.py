@@ -8,6 +8,7 @@ conventions but live in mullineux._core.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Iterable, Iterator
 
 from mullineux.errors import PartitionTooLargeError
@@ -80,14 +81,17 @@ def rank(lam: Partition) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram (an involution)."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            cols[j] += 1
-    return tuple(cols)
+    """Transpose of the Young diagram (an involution).
+
+    Built from the part differences: lam_i - lam_{i+1} columns have length
+    i, so the cost is O(lam_1 + rows), not one step per node.
+    """
+    out: list[int] = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - below)
+        below = lam[i - 1]
+    return tuple(out)
 
 
 def is_e_regular(lam: Partition, e: int) -> bool:
@@ -132,16 +136,70 @@ def partition_from_beta_set(bset: Iterable[int]) -> Partition:
 
 
 def is_e_core(lam: Partition, e: int) -> bool:
-    """True iff no hook length of lam is divisible by e.
-
-    Uses the abacus criterion: on any beta-set, removing a rim e-hook moves
-    a bead from x down to the free position x - e, so lam is an e-core iff
-    every bead x >= e has x - e occupied.
-    """
+    """True iff no hook length of lam is divisible by e."""
     if e < 2:
         raise ValueError(f"modulus must be >= 2, got {e}")
-    beads = set(beta_set(lam, max(1, len(lam))))
-    return all(x < e or x - e in beads for x in beads)
+    return beta_set_is_e_core(beta_set(lam, max(1, len(lam))), e)
+
+
+def pad_beta_set(x: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The beta-set of the same partition at a length no smaller than len(x)."""
+    d = length - len(x)
+    if d < 0:
+        raise ValueError(f"cannot pad a beta-set of length {len(x)} to {length}")
+    return tuple([*range(d), *[v + d for v in x]]) if d else x
+
+
+def minimal_beta_set(x: tuple[int, ...]) -> tuple[int, ...]:
+    """x at minimal padding, beta_set(lam, max(1, len(lam))) for the lam it
+    encodes: the staircase run 0, 1, ... that x starts with is dropped and
+    the rest shifted down.
+
+    x[i] - i never decreases along a beta-set, so the run is found by
+    bisection.
+    """
+    if x and x[0] != 0:
+        return x
+    run, hi = 0, len(x)
+    while run < hi:
+        mid = (run + hi) // 2
+        if x[mid] == mid:
+            run = mid + 1
+        else:
+            hi = mid
+    return tuple([v - run for v in x[run:]]) or (0,)
+
+
+def conjugate_beta_set(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The beta-set of the conjugate partition at minimal padding.
+
+    With N = max(x) + 1, the conjugate's beta-set of length N - len(x) is
+    N - 1 - y over the gaps y of x below N.
+    """
+    top = x[-1]
+    beads = set(x)
+    return tuple([top - y for y in range(top, -1, -1) if y not in beads]) or (0,)
+
+
+def beta_set_is_e_regular(x: tuple[int, ...], e: int) -> bool:
+    """is_e_regular on a beta-set: no e consecutive beads above its staircase run.
+
+    Equal parts are consecutive beads; the run 0, 1, ... stands for zero
+    parts, which may repeat, and minimal padding has none.
+    """
+    x = minimal_beta_set(x)
+    return e - 1 not in map(sub, x[e - 1 :], x)
+
+
+def beta_set_is_e_core(x: tuple[int, ...], e: int) -> bool:
+    """is_e_core on a beta-set, by the abacus criterion.
+
+    Removing a rim e-hook moves a bead from b down to a free position
+    b - e, so the partition is an e-core iff every bead b >= e has b - e
+    occupied.  Any padding gives the same answer.
+    """
+    beads = set(x)
+    return all(b < e or b - e in beads for b in x)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

@@ -22,6 +22,7 @@ from mullineux.betamaps import (
     psi_step,
     psi_step_inverse,
     psi_tilde,
+    psi_tilde_beta_sets,
     psi_tilde_inverse,
     shortcut_applies,
     shortcut_on_beta_sets,
@@ -35,7 +36,7 @@ from mullineux.level2 import (
     stable_shift,
     uglov_bipartitions,
 )
-from mullineux.partitions import enumerate_bipartitions, enumerate_e_regular
+from mullineux.partitions import beta_set, enumerate_bipartitions, enumerate_e_regular
 
 from conftest import beta_sets
 
@@ -353,6 +354,24 @@ def test_inverse_walk_stages():
                     assert (after is None) == shortcut_applies(before, stage)
                     cur = before if after is None else after
                 assert cur == psi_tilde_inverse(e, s, blam)
+
+
+def test_pair_walks_match_the_bipartition_walks_at_any_padding():
+    # the forward walk takes a pair encoded at s, at any padding m; the
+    # inverse walk reads the two partitions off sets padded independently
+    for e, s in WALK_GRID:
+        for n in range(6):
+            for blam in enumerate_bipartitions(n):
+                m = minimal_padding(blam, s)
+                for extra in (0, 1, e + 2):
+                    pair = encode_bipartition(blam, s, m + extra)
+                    assert decode_bipartition(psi_tilde_beta_sets(e, s, pair)) == psi_tilde(e, s, blam)
+                    loose = (
+                        beta_set(blam[0], len(blam[0]) + extra),
+                        beta_set(blam[1], max(1, len(blam[1])) + 2 * extra),
+                    )
+                    back = psi_tilde_beta_sets(e, s, loose, inverse=True)
+                    assert decode_bipartition(back) == psi_tilde_inverse(e, s, blam), (e, s, blam, extra)
 
 
 def test_walk_checks_charge_order_when_iterated():

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mullineux import cli
 from mullineux.betamaps import minimal_padding, psi_tilde, psi_tilde_inverse
@@ -163,6 +165,32 @@ def test_csv_summary(tmp_path, capsys):
     assert "checked" in text and "e=2,n=4" in text
 
 
+# wire-format text: digits, separators, signs, spaces and a few strays
+WIRE_TEXT = st.text(alphabet="0123456789,|- +_x\t", max_size=40) | st.text(max_size=20)
+
+
+@given(WIRE_TEXT)
+@settings(max_examples=400)
+def test_parse_bipartition_round_trips_or_raises_value_error(text):
+    try:
+        blam = cli.parse_bipartition(text)
+    except ValueError:
+        return
+    assert cli.parse_bipartition(cli.format_bipartition(blam)) == blam
+
+
+@given(WIRE_TEXT)
+@settings(max_examples=400)
+def test_parse_int_list_round_trips_or_raises_value_error(text):
+    try:
+        values = cli.parse_int_list(text, "--e")
+    except ValueError as exc:
+        assert str(exc) == f"--e takes comma-separated ints, got {text!r}"
+        return
+    assert all(isinstance(v, int) for v in values)
+    assert cli.parse_int_list(",".join(map(str, values)), "--e") == values
+
+
 def test_bad_sweep_arguments_are_usage_errors(capsys):
     cases = [
         (["verify-conjecture", "--all-partitions", "--e=0", "--max-n", "3"],
@@ -176,12 +204,22 @@ def test_bad_sweep_arguments_are_usage_errors(capsys):
         (["cross-validate", "--e", "2,3,2"], "moduli must be distinct, got [2, 3, 2]"),
         (["cross-validate", "--e="], "at least one modulus is required"),
         (["cross-validate", "--max-n", "-1"], "n_max must be >= 0, got -1"),
+        (["verify-conjecture", "--e", "2,,3"], "--e takes comma-separated ints, got '2,,3'"),
+        (["cross-validate", "--e", "2,"], "--e takes comma-separated ints, got '2,'"),
     ]
     for argv, message in cases:
         for jobs in ("1", "2"):
             code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
             assert (code, out) == (1, ""), argv
             assert f"mullineux: error: {message}" in err, argv
+    for command in ("verify-conjecture", "cross-validate"):
+        for jobs in ("0", "-4"):
+            code, out, err = run_cli(capsys, command, "--e", "2", "--max-n", "3", "--jobs", jobs)
+            assert (code, out) == (1, ""), (command, jobs)
+            assert f"mullineux: error: jobs must be >= 1, got {jobs}" in err, (command, jobs)
+    code, out, err = run_cli(capsys, "psi", "--e", "2", "--charges", "1,,2", "--bipartition", "1|1")
+    assert (code, out) == (1, "")
+    assert "mullineux: error: --charges takes comma-separated ints, got '1,,2'" in err
 
 
 def test_negative_depth_limit_is_a_usage_error(capsys):

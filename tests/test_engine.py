@@ -1,6 +1,7 @@
 """Harness behavior: towers, sweeps, the recursive algorithm, reports."""
 
 import json
+import pickle
 
 import pytest
 
@@ -21,6 +22,7 @@ from mullineux.partitions import (
     enumerate_partitions,
     is_e_core,
     is_e_regular,
+    partition_from_beta_set,
 )
 
 X_STAR = (0, 3, 5, 6, 10, 12, 15, 18, 20)
@@ -227,6 +229,31 @@ def test_negative_depth_limit_raises_before_any_bucket(monkeypatch):
         mullineux_conjectural((3, 1), 3, depth_limit=-1)
 
 
+def test_jobs_below_one_raise_before_any_bucket(monkeypatch):
+    monkeypatch.setattr(engine, "_bucket", None)  # a bucket run would raise TypeError
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            cross_validate([2, 3], 4, jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            sweep_conjecture([2, 3], 4, 3, jobs=jobs)
+
+
+def test_trace_built_from_partitions_reads_like_the_recursion():
+    _, trace = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+    rebuilt = engine.MullineuxTrace(
+        trace.modulus, trace.partition, trace.base_case, trace.image,
+        mu=trace.mu, children=trace.children, nu=trace.nu,
+    )
+    assert rebuilt == trace
+    assert rebuilt.to_dict() == trace.to_dict()
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    bare = engine.MullineuxTrace(3, (3, 1), False, None)
+    assert (bare.partition, bare.image, bare.mu, bare.nu) == ((3, 1), None, None, None)
+    assert bare.to_dict() == {"modulus": 3, "partition": "3,1", "base_case": False, "image": None}
+    empty = engine.MullineuxTrace(3, (), True, ())
+    assert (empty.partition, empty.image) == ((), ())
+
+
 def test_recursive_core_detection_shortens_recursion():
     for e in (2, 3, 4, 5):
         for n in range(11):
@@ -308,13 +335,16 @@ def test_memo_warm_and_cleared_give_the_same_outcome(cold_memo):
 
 
 def test_memo_keeps_raising_a_violation(cold_memo, monkeypatch):
-    walk_back = engine.betamaps.psi_tilde_inverse
+    walk = engine.betamaps.psi_tilde_beta_sets
 
-    def disagreeing(e, s, blam):
-        nu = walk_back(e, s, blam)
-        return nu[0], nu[1] + (1,)
+    def disagreeing(e, s, pair, inverse=False):
+        nu = walk(e, s, pair, inverse)
+        if not inverse:
+            return nu
+        # the second component gains a part 1
+        return nu[0], beta_set(partition_from_beta_set(nu[1]) + (1,), len(nu[1]) + 1)
 
-    monkeypatch.setattr(engine.betamaps, "psi_tilde_inverse", disagreeing)
+    monkeypatch.setattr(engine.betamaps, "psi_tilde_beta_sets", disagreeing)
     seen = []
     for _ in range(3):
         with pytest.raises(ConjectureViolationError) as info:

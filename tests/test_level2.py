@@ -137,6 +137,16 @@ def test_stable_shift_bounds():
     assert abs(0 + (k - 1) * 2 - 0) <= 10
 
 
+def test_stable_shift_is_the_smallest_stabilizing_shift():
+    for s1 in range(-4, 5):
+        for s2 in range(s1, 14):
+            for n in range(12):
+                for e in range(1, 7):
+                    k = stable_shift((s1, s2), n, e)
+                    assert k >= 0 and s2 + k * e - s1 > 2 * n
+                    assert k == 0 or s2 + (k - 1) * e - s1 <= 2 * n
+
+
 def test_mullineux_level2_pinned():
     assert mullineux_level2(((), ()), 4, (0, 2)) == ((), ())
     got = mullineux_level2(((3, 3, 2, 2, 1, 1), (6, 5, 5, 4, 1, 1)), 6, (0, 9))

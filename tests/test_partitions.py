@@ -17,13 +17,18 @@ from mullineux.partitions import (
     MAX_RANK,
     as_partition,
     beta_set,
+    beta_set_is_e_core,
+    beta_set_is_e_regular,
     conjugate,
+    conjugate_beta_set,
     enumerate_bipartitions,
     enumerate_e_regular,
     enumerate_partitions,
     is_e_core,
     is_e_regular,
     format_partition,
+    minimal_beta_set,
+    pad_beta_set,
     parse_partition,
     partition_from_beta_set,
 )
@@ -198,6 +203,61 @@ def test_e_regular_enumeration_rejects_bad_arguments():
 def test_enumeration_rejects_a_negative_rank():
     with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
         list(enumerate_partitions(-1))
+
+
+# ---------------------------------------------------------------------------
+# beta-set forms of the partition checks
+
+
+def partitions_up_to(n_max):
+    return [lam for n in range(n_max + 1) for lam in enumerate_partitions(n)]
+
+
+def cell_by_cell_conjugate(lam):
+    """Transpose by counting, for each column, the rows that reach it."""
+    if not lam:
+        return ()
+    cols = [0] * lam[0]
+    for p in lam:
+        for j in range(p):
+            cols[j] += 1
+    return tuple(cols)
+
+
+def test_beta_set_checks_match_the_partition_checks():
+    for lam in partitions_up_to(20):
+        minimal = beta_set(lam, max(1, len(lam)))
+        for e in range(2, 8):
+            # a padded set starts with a staircase run longer than e
+            for x in (minimal, beta_set(lam, len(lam) + e + 1)):
+                assert beta_set_is_e_regular(x, e) == is_e_regular(lam, e), (lam, e, x)
+                assert beta_set_is_e_core(x, e) == is_e_core(lam, e), (lam, e, x)
+
+
+def test_trim_and_pad_round_trip():
+    for lam in partitions_up_to(14):
+        minimal = beta_set(lam, max(1, len(lam)))
+        for extra in range(6):
+            x = beta_set(lam, len(lam) + extra) if lam or extra else (0,)
+            assert minimal_beta_set(x) == minimal, (lam, extra)
+            assert pad_beta_set(minimal, len(x)) == x, (lam, extra)
+            assert partition_from_beta_set(pad_beta_set(minimal, len(x) + 3)) == lam
+        if lam:
+            assert minimal_beta_set(minimal) is minimal  # already minimal: no copy
+        with pytest.raises(ValueError):
+            pad_beta_set(minimal, len(minimal) - 1)
+    assert minimal_beta_set(()) == (0,)
+
+
+def test_conjugate_matches_the_cell_by_cell_definition():
+    staircase = tuple(range(140, 0, -1))
+    assert sum(staircase) == 9870
+    for lam in partitions_up_to(20) + [staircase]:
+        assert conjugate(lam) == cell_by_cell_conjugate(lam), lam
+        assert conjugate_beta_set(beta_set(lam, max(1, len(lam)))) == beta_set(
+            conjugate(lam), max(1, lam[0] if lam else 0)
+        ), lam
+    assert conjugate(staircase) == staircase
 
 
 # ---------------------------------------------------------------------------
