@@ -63,9 +63,12 @@ def _default_jobs() -> int:
     env = os.environ.get("MULLINEUX_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise ValueError(f"MULLINEUX_JOBS must be an integer, got {env!r}") from None
+        if jobs < 1:
+            raise ValueError(f"MULLINEUX_JOBS must be >= 1, got {jobs}")
+        return jobs
     return os.cpu_count() or 1
 
 

@@ -31,23 +31,44 @@ to minimal padding.  A MullineuxTrace stores those beta-sets and decodes
 its partition fields only when they are read, for error text, to_dict and
 the top-level image.
 
-The recursion revisits the same subproblems many times, both within one
-partition's trace tree and across the partitions of a sweep, so each
-process keeps a bounded least-recently-used memo of recursion nodes.  It
-is keyed on everything a node's outcome and its error text depend on: the
-partition's beta-set at minimal padding (as long as the partition, and in
-one-to-one correspondence with it), the modulus, the depth (with
-depth_limit, the remaining depth budget), depth_limit and
-oracle_fallback.  It stores ConjectureViolationError and
+The recursion revisits the same modulus-2e and modulus-4e subproblems many
+times, both within one partition's trace tree and across the partitions of
+a sweep, so each process keeps a bounded least-recently-used memo of
+recursion nodes below the top level.  It is keyed on everything a node's
+outcome and its error text depend on: the partition's beta-set at minimal
+padding (as long as the partition, and in one-to-one correspondence with
+it), the modulus, the depth (with depth_limit, the remaining depth budget),
+depth_limit and oracle_fallback.  It stores ConjectureViolationError and
 DepthExceededError outcomes as well as traces and raises them again on
 every hit, so a violation is never masked; a hit returns the very trace
 object computed first, so trace trees share subtrees instead of copying
-them.  The memo holds MEMO_SIZE nodes because an unbounded one costs
-memory that grows with the sweep: on an in-process cross_validate(e=2..5,
-n<=26) it more than doubled peak RSS, from 17.0 to 37.1 MiB, while 512
-nodes add 0.7 MiB and run at 2,615 partitions/s against 3,088 unbounded
-(2-core x86-64 host, Python 3.11).  In bench/run.py, 1,024 nodes added
-about 5% to peak RSS for at most 3% more throughput than 512.
+them, and a parent's mu_beta holds its children's cached beta-sets rather
+than fresh copies.  The top-level node of mullineux_conjectural bypasses
+the memo: a sweep checks each partition once, so a top-level entry is
+never hit, and each one would push out a child that recurs.  The memo
+holds MEMO_SIZE nodes, sized to the children's working set.  On an
+in-process cross_validate(e=2..5, n<=26), 17,508 top-level nodes have
+7,915 distinct children.  The table gives node computations there
+(children computed plus top-level nodes) and peak RSS, both for that sweep
+and for one 200-input round of bench/run.py's large-rank workload, against
+a 512-node memo that also held the top level (2-core x86-64 host,
+Python 3.11):
+
+    MEMO_SIZE              node computations  peak RSS, crossval  large-rank
+    512, top level in it   50,052             17.2 MiB            21.3 MiB
+    512                    45,911             -0.1 MiB            +0.1 MiB
+    1,024                  35,119             +0.3 MiB            +0.3 MiB
+    1,536                  28,684             +0.5 MiB            +0.8 MiB
+    2,048                  25,536             +0.8 MiB            +1.3 MiB
+    4,096                  25,423             +2.1 MiB            +3.0 MiB
+
+4,096 nodes reach the floor, one computation per distinct node.  1,536
+nodes come within 13% of it for a quarter of the extra memory, and are
+the largest size that keeps bench/run.py's peak RSS within 5% of the
+512-node memo on both workloads: there 2,048 nodes added 5.3% on
+crossval-sweep (24.4 to 25.7 MiB), 1,536 added about 3%.  An unbounded
+memo also reaches the floor, but its memory grows with the sweep:
++3.5 MiB on this one.
 
 Both sweeps are one pipeline.  Each is only its parameters and a
 per-partition check, check(lam, e, *params), that returns a list of
@@ -72,6 +93,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from mullineux import betamaps
 from mullineux._core import kernels
@@ -106,8 +128,7 @@ def _encode(lam: Partition) -> Beta:
 # conjecture tower
 
 
-@dataclass(frozen=True)
-class TowerStep:
+class TowerStep(NamedTuple):
     k: int
     x1: tuple[int, ...]
     x2: tuple[int, ...]
@@ -144,7 +165,9 @@ def conjecture_tower(
     second set.  An empty x1 stays empty and is inside any set.  A tower
     that stops at stage 0 skips the stage-1 assertion, but only where
     stage 1 is an inclusion anyway.  The sweep stops its towers; library
-    callers get the full tower by default.
+    callers get the full tower by default.  Since a stage that meets the
+    shortcut is an inclusion, the shortcut, computed once per stage, also
+    decides the inclusion flag there.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -153,14 +176,15 @@ def conjecture_tower(
     steps = []
     for k in range(k_max + 1):
         x1, x2 = kernels.psi_step(e, x1, x2)
-        inclusion = set(x1) <= set(x2)
+        shortcut = not x1 or betamaps.shortcut_on_beta_sets(x1, x2)
+        inclusion = shortcut or set(x2).issuperset(x1)
         if k == 1 and not inclusion:
             raise AssertionError(
                 f"inclusion failed at stage 1 for e={e}, x={x}; this case is proved, "
                 "so the step implementation is broken"
             )
         steps.append(TowerStep(k, x1, x2, inclusion))
-        if stop_at_shortcut and (not x1 or betamaps.shortcut_on_beta_sets(x1, x2)):
+        if stop_at_shortcut and shortcut:
             break
     return TowerTrace(e, x, tuple(steps))
 
@@ -382,7 +406,7 @@ class MullineuxTrace(
         return doc
 
 
-MEMO_SIZE = 512  # recursion nodes per process; see the module docstring
+MEMO_SIZE = 1536  # recursion nodes per process; see the module docstring
 
 
 def _conjectural(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
@@ -446,6 +470,9 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     child1 = _conjectural(mu[0], 2 * e, depth + 1, depth_limit, oracle_fallback)
     child2 = _conjectural(mu[1], 2 * e, depth + 1, depth_limit, oracle_fallback)
     children = (child1, child2)
+    # mu holds the children's beta-sets; a memo hit's are the older, cached
+    # tuples, so the trace keeps those and lets the fresh copies go
+    mu = child1.beta, child2.beta
     try:
         back = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (child1.image_beta, child2.image_beta), True)
     except ValueError as exc:
@@ -466,7 +493,9 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
             modulus=e,
             trace=trace,
         )
-    return MullineuxTrace.of_beta_sets(e, x, False, nu[0], mu, children, nu)
+    # the components agree, so one tuple serves as both and as the image
+    image = nu[0]
+    return MullineuxTrace.of_beta_sets(e, x, False, image, mu, children, (image, image))
 
 
 def mullineux_conjectural(
@@ -491,7 +520,9 @@ def mullineux_conjectural(
     check_rank(lam)
     if not is_e_regular(lam, e):
         raise NotRegularError(f"{lam} is not {e}-regular")
-    trace = _conjectural(_encode(lam), e, 0, depth_limit, oracle_fallback)
+    # the top level bypasses the memo: a sweep checks each partition once, so
+    # its entry would never be hit and would only push out a child's entry
+    trace = _node(_encode(lam), e, 0, depth_limit, oracle_fallback)
     return trace.image, trace
 
 

@@ -520,6 +520,18 @@ def test_bad_jobs_environment_is_a_usage_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_jobs_environment_below_one_is_a_usage_error(capsys, monkeypatch):
+    for command in ("verify-conjecture", "cross-validate"):
+        for jobs in ("0", "-4"):
+            monkeypatch.setenv("MULLINEUX_JOBS", jobs)
+            code, out, err = run_cli(capsys, command, "--e", "2", "--max-n", "3")
+            assert (code, out) == (1, ""), (command, jobs)
+            assert f"mullineux: error: MULLINEUX_JOBS must be >= 1, got {jobs}" in err, (command, jobs)
+    # an explicit --jobs still wins over the environment
+    code, _, _ = run_cli(capsys, "cross-validate", "--e", "2", "--max-n", "3", "--jobs", "1")
+    assert code == 0
+
+
 def test_sweep_counterexample_exits_two(capsys, monkeypatch):
     # fake a failing sweep to pin the exit-2 contract
     from mullineux.engine import SweepReport

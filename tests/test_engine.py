@@ -355,6 +355,34 @@ def test_memo_keeps_raising_a_violation(cold_memo, monkeypatch):
     assert "pulled-back components disagree" in seen[0][0]
 
 
+def test_memo_holds_no_top_level_node(cold_memo):
+    # a sweep checks each partition once, so a top-level entry would never be hit
+    assert is_e_core((4, 2), 3)
+    mullineux_conjectural((4, 2), 3)
+    assert engine._outcome.cache_info().currsize == 0
+    mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+    assert engine._outcome.cache_info().currsize > 0
+
+
+def test_memo_answers_every_child_of_a_repeated_call(cold_memo):
+    _, first = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+    misses = engine._outcome.cache_info().misses
+    _, second = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+    assert engine._outcome.cache_info().misses == misses
+    assert second is not first and second.to_dict() == first.to_dict()
+    assert all(a is b for a, b in zip(second.children, first.children))
+
+
+def test_trace_shares_the_tuples_it_repeats(cold_memo):
+    _, first = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+    _, second = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
+    for trace in (first, second):
+        assert trace.nu_beta[0] is trace.nu_beta[1] is trace.image_beta
+        assert all(trace.mu_beta[i] is trace.children[i].beta for i in (0, 1))
+    # on the memo hits, the cached children's tuples, not fresh copies
+    assert all(second.mu_beta[i] is first.mu_beta[i] for i in (0, 1))
+
+
 def test_deep_walks_stay_short(cold_memo, monkeypatch):
     # the longest second input each kernel sees on a deep recursion (it
     # reaches modulus 256); 384 and 896 are what walks that re-encode every
