@@ -9,137 +9,185 @@ wrapper installed on a module attribute sees every call.
 
 Conventions: partitions are tuples of weakly decreasing positive ints,
 beta-sets are strictly increasing tuples of nonnegative ints, residues are
-ints in 0..e-1, rows are 1-based.  Signature words read the diagram from
-the bottom row up, so the word starts at the largest row index.
+ints in 0..e-1, rows are 1-based, and the modulus is at least 2.
+Signature words read the diagram from the bottom row up, so the word
+starts at the largest row index.
+
+The crystal moves rest on two scans of the rows: one reads the removable
+letters of every residue at once and keeps, per residue, the rows of the
+removable nodes no addable node cancels (_open_removable); the other
+keeps the rows of the uncancelled addable nodes of one residue
+(_add_string).  Adding or removing a j-node changes no other j-letter of
+the word, so one scan serves a whole i-string: Kleshchev's algorithm
+strips e_j^max at a time and replays each negated string (-j, q) as
+f_{-j}^q, one scan per string instead of one per node.
 """
 
 from bisect import bisect_left, bisect_right
+from itertools import groupby
 
 
 def _check_modulus(e):
-    if e < 1:
-        raise ValueError(f"modulus must be >= 1, got {e}")
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
 
 
-def good_rows(parts, j, e):
-    """Rows of the good addable and good removable j-node, 0 when absent.
+def _open_removable(rows, e):
+    """Rows of the uncancelled removable nodes of every residue.
 
-    Scans rows bottom-up, pushing A/R letters and cancelling each R that is
-    immediately followed by an A; the survivors form A^p R^q.
+    One bottom-up scan reads the signature words of all residues at once:
+    a removable j-node opens, an addable j-node closes the last open
+    removable j-node.  Entry j of the result lists the rows left open,
+    bottom row first; the first is the good removable j-node, and removing
+    them all is e_j^max.  rows may be a tuple or a list.
     """
-    _check_modulus(e)
-    r = len(parts)
-    stack = []  # (is_addable, row), reduced on the fly
-    for a in range(r + 1, 0, -1):
-        row_len = parts[a - 1] if a <= r else 0
-        if a > r or a == 1 or parts[a - 2] > row_len:
-            if (row_len + 1 - a) % e == j:  # addable at column row_len + 1
-                if stack and not stack[-1][0]:
-                    stack.pop()
-                else:
-                    stack.append((True, a))
-        if a <= r and (a == r or row_len > parts[a]):
-            if (row_len - a) % e == j:  # removable at column row_len
-                stack.append((False, a))
-    add_row = rem_row = 0
-    for is_addable, a in stack:
-        if is_addable:
-            add_row = a
+    open_rows = [[] for _ in range(e)]
+    below = 0  # the row under row a; the addable node of row r + 1 closes nothing
+    for a in range(len(rows), 0, -1):
+        row_len = rows[a - 1]
+        if row_len > below:  # removable at column row_len
+            open_rows[(row_len - a) % e].append(a)
+        if a == 1 or rows[a - 2] > row_len:  # addable at column row_len + 1
+            stack = open_rows[(row_len + 1 - a) % e]
+            if stack:
+                stack.pop()
+        below = row_len
+    return open_rows
+
+
+def _remove_nodes(rows, found):
+    """Remove the last node of each row in found from the list rows."""
+    for a in found:
+        rows[a - 1] -= 1
+    if not rows[-1]:  # only the last row can shrink to zero
+        rows.pop()
+
+
+def _add_string(rows, j, q, e):
+    """Apply f_j^q to the list rows in place; False when it is undefined.
+
+    One bottom-up scan of the j-signature word keeps the rows of the
+    uncancelled addable j-nodes: an addable node cancels against an open
+    removable node read before it, and survives otherwise.  The last
+    survivor is the good addable j-node.  Adding or removing a j-node
+    changes no other j-letter of the word, so the q good nodes added one by
+    one are the last q survivors, and q sequential f_tilde calls stall
+    exactly when fewer survive.
+    """
+    r = len(rows)
+    free = [r + 1] if (-r) % e == j else []  # addable at (r + 1, 1)
+    opened = 0
+    below = 0
+    for a in range(r, 0, -1):
+        row_len = rows[a - 1]
+        if row_len > below and (row_len - a) % e == j:
+            opened += 1
+        if (a == 1 or rows[a - 2] > row_len) and (row_len + 1 - a) % e == j:
+            if opened:
+                opened -= 1
+            else:
+                free.append(a)
+        below = row_len
+    if len(free) < q:
+        return False
+    for a in free[len(free) - q :]:
+        if a > r:
+            rows.append(1)
         else:
-            rem_row = a
-            break
-    return add_row, rem_row
+            rows[a - 1] += 1
+    return True
 
 
 def f_tilde(parts, j, e):
     """Add the good addable j-node, or None when there is none."""
-    a, _ = good_rows(parts, j, e)
-    if a == 0:
-        return None
-    if a == len(parts) + 1:
-        return parts + (1,)
-    return parts[: a - 1] + (parts[a - 1] + 1,) + parts[a:]
+    _check_modulus(e)
+    rows = list(parts)
+    return tuple(rows) if _add_string(rows, j, 1, e) else None
 
 
 def e_tilde(parts, j, e):
     """Remove the good removable j-node, or None when there is none."""
-    _, a = good_rows(parts, j, e)
-    if a == 0:
+    _check_modulus(e)
+    found = _open_removable(parts, e)[j]
+    if not found:
         return None
-    if parts[a - 1] == 1:  # only the last row can shrink to zero
-        return parts[:-1]
-    return parts[: a - 1] + (parts[a - 1] - 1,) + parts[a:]
+    rows = list(parts)
+    _remove_nodes(rows, found[:1])
+    return tuple(rows)
+
+
+def _first_open_string(rows, e):
+    """(j, rows) of the smallest residue j with an uncancelled removable
+    j-node and the rows of all of them, or None when there is none."""
+    for j, found in enumerate(_open_removable(rows, e)):
+        if found:
+            return j, found
+    return None
 
 
 def strip_residues(parts, e):
     """Greedily strip good removable nodes down to the empty partition.
 
     At each step the smallest residue with a good removable node is taken,
-    which is the node a scan of residues 0..e-1 with good_rows would find
-    first.  One bottom-up scan per removed node finds them all: it keeps,
-    per residue, the number of removable nodes no later addable node has
-    cancelled and the row of the lowest of them, which is the good one.
-    Returns the residues in removal order, or None if the process stalls
-    early (the partition is not e-regular).
+    and only that node is removed, so the path is the canonical one that
+    good_removable over residues 0..e-1 gives, one node at a time.  Returns
+    the residues in removal order, or None if the process stalls early (the
+    partition is not e-regular).
     """
     _check_modulus(e)
-    cur = parts
+    rows = list(parts)
     out = []
-    while cur:
-        r = len(cur)
-        open_count = [0] * e
-        good_row = [0] * e
-        for a in range(r + 1, 0, -1):
-            row_len = cur[a - 1] if a <= r else 0
-            if a > r or a == 1 or cur[a - 2] > row_len:  # addable at column row_len + 1
-                j = (row_len + 1 - a) % e
-                if open_count[j]:
-                    open_count[j] -= 1
-            if a <= r and (a == r or row_len > cur[a]):  # removable at column row_len
-                j = (row_len - a) % e
-                if not open_count[j]:
-                    good_row[j] = a
-                open_count[j] += 1
-        for j in range(e):
-            if open_count[j]:
-                a = good_row[j]
-                break
-        else:
+    while rows:
+        string = _first_open_string(rows, e)
+        if string is None:
             return None
-        if cur[a - 1] == 1:
-            cur = cur[:-1]
-        else:
-            cur = cur[: a - 1] + (cur[a - 1] - 1,) + cur[a:]
+        j, found = string
+        _remove_nodes(rows, found[:1])
         out.append(j)
     return tuple(out)
+
+
+def _replay_strings(strings, e):
+    """Apply f_j^q for each (j, q) in order, starting from (); None as soon
+    as a string is undefined."""
+    rows = []
+    for j, q in strings:
+        if not _add_string(rows, j, q, e):
+            return None
+    return tuple(rows)
 
 
 def replay(residues, e):
     """Apply f_tilde for each residue in the given order, starting from ().
 
-    Returns None as soon as a step is undefined.
+    Runs of equal residues are applied as one string f_j^q.  Returns None
+    as soon as a step is undefined.
     """
     _check_modulus(e)
-    cur = ()
-    for j in residues:
-        cur = f_tilde(cur, j, e)
-        if cur is None:
-            return None
-    return cur
+    return _replay_strings(((j, len(list(run))) for j, run in groupby(residues)), e)
 
 
 def mullineux(parts, e):
-    """Mullineux image via path negation, or None if parts is not e-regular.
+    """Mullineux image via string negation, or None if parts is not e-regular.
 
-    Strip a residue path to the empty partition, then replay it with every
-    residue negated mod e (the removal order reverses into application
-    order).
+    Kleshchev's algorithm, M(f_j b) = f_{-j} M(b), on whole strings: strip
+    e_j^max for the smallest residue j that has a good removable node, one
+    scan per string, down to the empty partition, then replay every string
+    (j, q) as f_{-j}^q in reverse order.  The image does not depend on the
+    stripping order, so it is the one the canonical path gives.
     """
     _check_modulus(e)
-    strip = strip_residues(parts, e)
-    if strip is None:
-        return None
-    return replay(tuple((-r) % e for r in reversed(strip)), e)
+    rows = list(parts)
+    strings = []
+    while rows:
+        string = _first_open_string(rows, e)
+        if string is None:
+            return None
+        j, found = string
+        _remove_nodes(rows, found)
+        strings.append(((-j) % e, len(found)))
+    strings.reverse()
+    return _replay_strings(strings, e)
 
 
 def remove_e_rim(parts, e):
@@ -296,21 +344,29 @@ def psi_step_inverse(e, y1, y2):
 
     Drops the staircase, shifts the rest of y2 down by e, then matches y1
     into it smallest element first, each a taking the smallest unmatched
-    b >= a with the smallest unmatched b as fallback.
+    b >= a with the smallest unmatched b as fallback.  Matches that do not
+    fall back strictly increase, so each search starts after the last one;
+    once an element falls back, no unmatched b is left above it, so every
+    later element falls back too, to the smallest unmatched entries in order.
     """
     if len(y1) > len(y2) - e:
         raise ValueError("psi_step_inverse needs |y1| <= |y2| - e")
     avail = [y - e for y in y2[e:]]
-    taken = [False] * len(avail)
+    n = len(avail)
+    taken = [False] * n
     x1 = []
+    i = 0
     for a in y1:
-        i = bisect_left(avail, a)
-        while i < len(avail) and taken[i]:
+        i = bisect_left(avail, a, i)
+        if i == n:
+            break
+        taken[i] = True
+        x1.append(avail[i])
+        i += 1
+    i = 0
+    for _ in range(len(y1) - len(x1)):
+        while taken[i]:
             i += 1
-        if i == len(avail):
-            i = 0
-            while taken[i]:
-                i += 1
         taken[i] = True
         x1.append(avail[i])
     x1.sort()

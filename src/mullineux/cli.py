@@ -111,6 +111,11 @@ def cmd_mull(args) -> int:
                 doc["results"]["trace"] = trace.to_dict()
         if args.method == "both":
             doc["results"]["agree"] = doc["results"]["kleshchev"] == doc["results"]["recursive"]
+            if not doc["results"]["agree"]:
+                # Kleshchev's algorithm is proven, so a mismatch is a conjecture violation
+                doc["error"] = "the recursion and Kleshchev's algorithm disagree"
+                _emit(doc)
+                return 3
     except NotRegularError as exc:
         print(f"mullineux: error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,9 @@ The cross-validation sweep runs the recursive algorithm against a proven
 oracle on every e-regular partition in range.  That oracle is Mullineux's
 e-rim symbol (kernels.mullineux_symbol), which costs about one pass over
 the nodes, rather than Kleshchev's residue-path algorithm
-(kernels.mullineux), which rescans every row for every node; both give the
-same image, so the report is the same either way.  Kleshchev's algorithm
+(kernels.mullineux), which scans the rows once for every i-string it
+strips or replays; both give the same image, so the report is the same
+either way.  Kleshchev's algorithm
 remains the oracle of mull, level1 and the recursion's oracle_fallback, and
 the test suite checks the two oracles against each other.
 
@@ -536,8 +537,8 @@ def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
 
     The oracle is Mullineux's e-rim symbol, kernels.mullineux_symbol, not
     Kleshchev's kernels.mullineux: both are proven and agree, and the symbol
-    costs about one pass over the nodes instead of a rescan of every row per
-    node.  An oracle error reaches _bucket, which records it as kind "error".
+    costs about one pass over the nodes instead of a scan of the rows per
+    i-string.  An oracle error reaches _bucket, which records it as kind "error".
     The walks are compared on beta-sets and decoded only for a mismatch.
     """
     name = format_partition(lam)

@@ -13,6 +13,17 @@ applied first when replaying from the empty partition.  Negating every
 residue of a path for an e-regular partition and replaying computes the
 Mullineux involution (Kleshchev's algorithm), which is the oracle the rest
 of the package is validated against.
+
+The kernels run that algorithm on whole i-strings.  Adding or removing a
+j-node changes no other j-letter of the signature word, so one scan finds
+every node of a string: the strip removes all uncancelled removable j-nodes
+at once (e_j^max, for the smallest residue j that has any), and the replay
+applies each negated string (-j, q) as f_{-j}^q, adding a node at each of
+the last q uncancelled addable nodes, or stalling when fewer than q are
+left.  The image does not depend on the stripping order.  replay_path
+applies runs of equal residues the same way; residue_path_to_empty still
+returns the canonical path, one node at a time.  Every entry point takes a
+modulus of at least 2.
 """
 
 from __future__ import annotations
@@ -105,7 +116,8 @@ def residue_path_to_empty(lam: Partition, e: int) -> tuple[int, ...]:
     The canonical path strips the first defined good removable node in
     residue order 0..e-1 at every step; any valid stripping order replays
     to the same partition.  Raises NotRegularError when the stripping
-    stalls, which happens exactly when lam is not e-regular.
+    stalls, which happens exactly when lam is not e-regular, and ValueError
+    when e < 2.
     """
     strip = kernels.strip_residues(lam, e)
     if strip is None:
@@ -116,7 +128,8 @@ def residue_path_to_empty(lam: Partition, e: int) -> tuple[int, ...]:
 def mullineux_kleshchev(lam: Partition, e: int) -> Partition:
     """Mullineux involution of an e-regular partition by path negation.
 
-    Raises PartitionTooLargeError above partitions.MAX_RANK."""
+    Raises PartitionTooLargeError above partitions.MAX_RANK and ValueError
+    when e < 2."""
     check_rank(lam)
     image = kernels.mullineux(lam, e)
     if image is None:

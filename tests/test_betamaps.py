@@ -7,6 +7,8 @@ equivariance with the charged crystal operators, and identity in the
 stabilized regime.
 """
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,47 @@ def test_step_surjectivity_round_trip(a, b):
         y2 = tuple(range(e)) + tuple(y + e for y in raw)
         x1, x2 = psi_step_inverse(e, y1, y2)
         assert psi_step(e, x1, x2) == (y1, y2)
+
+
+def probing_step_inverse(e, y1, y2):
+    """psi_step_inverse as first written: every search probes past taken
+    entries one at a time, and every fallback scans from the start."""
+    avail = [y - e for y in y2[e:]]
+    taken = [False] * len(avail)
+    x1 = []
+    for a in y1:
+        i = bisect_left(avail, a)
+        while i < len(avail) and taken[i]:
+            i += 1
+        if i == len(avail):
+            i = 0
+            while taken[i]:
+                i += 1
+        taken[i] = True
+        x1.append(avail[i])
+    x1.sort()
+    x2 = list(y1)
+    x2 += [b for i, b in enumerate(avail) if not taken[i]]
+    x2.sort()
+    return tuple(x1), tuple(x2)
+
+
+def test_step_inverse_matches_the_probing_loop_exhaustively():
+    subsets = [tuple(b for b in range(7) if mask >> b & 1) for mask in range(1 << 7)]
+    for e in (1, 2, 3):
+        for raw in subsets:
+            y2 = tuple(range(e)) + tuple(y + e for y in raw)
+            for y1 in subsets:
+                if len(y1) <= len(raw):
+                    assert kernels.psi_step_inverse(e, y1, y2) == probing_step_inverse(e, y1, y2)
+
+
+@given(beta_sets(max_value=60, max_size=20), beta_sets(max_value=60, max_size=20), st.integers(1, 6))
+@settings(max_examples=500)
+def test_step_inverse_matches_the_probing_loop(a, b, e):
+    y1, raw = (a, b) if len(a) <= len(b) else (b, a)
+    y2 = tuple(range(e)) + tuple(y + e for y in raw)
+    assert kernels.psi_step_inverse(e, y1, y2) == probing_step_inverse(e, y1, y2)
 
 
 # ---------------------------------------------------------------------------

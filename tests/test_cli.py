@@ -488,6 +488,22 @@ def test_mull_conjecture_violation_exits_three(capsys, monkeypatch):
     assert "counterexample" in doc and "error" in doc
 
 
+def test_mull_both_disagreement_exits_three(capsys, monkeypatch):
+    # the two algorithms agree on every known input, so fake a wrong oracle
+    import jsonschema
+
+    from mullineux._core import kernels
+    from mullineux.schema import DOCUMENT_SCHEMA
+
+    monkeypatch.setattr(kernels, "mullineux", lambda lam, e: tuple(lam))
+    code, out, _ = run_cli(capsys, "mull", "--method", "both", "--e", "3", "--lambda", "6,5,2,2,1,1")
+    assert code == 3
+    doc = get_json(out)
+    assert doc["results"] == {"kleshchev": "6,5,2,2,1,1", "recursive": "11,4,2", "agree": False}
+    assert doc["error"] == "the recursion and Kleshchev's algorithm disagree"
+    jsonschema.validate(doc, DOCUMENT_SCHEMA)
+
+
 def test_mull_depth_limit_paths(capsys):
     code, _, err = run_cli(
         capsys, "mull", "--method", "recursive", "--e", "3", "--lambda", "3,2", "--depth-limit", "0"

@@ -7,6 +7,7 @@ values, adjointness, and randomized stripping orders.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mullineux._core import kernels
 from mullineux.errors import NotRegularError
@@ -227,6 +228,81 @@ def test_path_choice_does_not_matter(rng):
                 assert replay_path(strip, e) == lam
                 negated = tuple((-j) % e for j in strip)
                 assert replay_path(negated, e) == mullineux_kleshchev(lam, e)
+
+
+def add_node(lam, a):
+    """lam with one node added at the end of row a."""
+    return lam + (1,) if a > len(lam) else lam[: a - 1] + (lam[a - 1] + 1,) + lam[a:]
+
+
+def node_by_node_replay(residues, e):
+    """Add one good addable node per residue, in order, from signature words;
+    None as soon as a residue has none."""
+    lam = ()
+    for j in residues:
+        node = good_addable(lam, j, e)
+        if node is None:
+            return None
+        lam = add_node(lam, node[0])
+    return lam
+
+
+def node_by_node_mullineux(lam, e):
+    """Kleshchev's algorithm one node at a time, without the kernels."""
+    path = canonical_strip(lam, e)
+    if path is None:
+        return None
+    return node_by_node_replay([(-j) % e for j in reversed(path)], e)
+
+
+def test_string_kernel_matches_node_by_node_reference():
+    for e in range(2, 8):
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                image = kernels.mullineux(lam, e)
+                assert image == node_by_node_mullineux(lam, e), (lam, e)
+                assert (image is None) == (not is_e_regular(lam, e)), (lam, e)
+
+
+def test_a_string_is_q_sequential_moves():
+    assert replay_path((0, 0), 2) is None  # the second move stalls
+    assert kernels.replay((0, 1, 1), 2) == (2, 1)  # f_1^2 adds both addable 1-nodes of (1,)
+    assert kernels.replay((0, 1, 1, 1), 2) is None
+    for e in (2, 3, 4, 5):
+        for n in range(9):
+            for lam in enumerate_e_regular(n, e):
+                start = tuple(reversed(residue_path_to_empty(lam, e)))  # application order
+                for j in range(e):
+                    expected = lam
+                    for q in range(1, 5):
+                        if expected is not None:
+                            expected = f_tilde(expected, j, e)
+                        assert kernels.replay(start + (j,) * q, e) == expected, (lam, j, q)
+                        assert replay_path((j,) * q + start[::-1], e) == expected, (lam, j, q)
+
+
+@given(st.lists(st.integers(0, 6), max_size=24), st.integers(2, 7))
+@settings(max_examples=300)
+def test_replay_matches_node_by_node_reference(residues, e):
+    residues = [j % e for j in residues]
+    assert kernels.replay(residues, e) == node_by_node_replay(residues, e)
+
+
+def test_string_kernel_matches_the_symbol_on_many_rows():
+    staircase = tuple(range(140, 0, -1))  # rank 9,870
+    many_rows = tuple(p for p in range(60, 0, -1) for _ in range(4))  # 240 rows
+    for lam, e in ((staircase, 2), (staircase, 5), (many_rows, 5)):
+        assert kernels.mullineux(lam, e) == kernels.mullineux_symbol(lam, e), e
+    assert mullineux_kleshchev(staircase, 2) == staircase
+
+
+def test_modulus_below_two_is_refused():
+    for e in (-1, 0, 1):
+        for lam in ((), (1,)):
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                mullineux_kleshchev(lam, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                residue_path_to_empty(lam, e)
 
 
 # ---------------------------------------------------------------------------
