@@ -315,9 +315,17 @@ def psi_step(e, x1, x2):
     Returns (y1, y2) where y1 is the matched image and y2 collects x1 + e,
     the unmatched part of x2 shifted by e, and the staircase 0..e-1.
     Both inputs must be strictly increasing.
+
+    When x1 is a subset of x2 every a is matched to itself: by induction
+    the elements of x1 below a took themselves, so a is still unmatched
+    and is the largest unmatched b <= a.  Then y1 = x1 and y2 is the
+    staircase followed by x2 + e, with no matching to do; this covers every
+    first stage of a tower, where x1 == x2.
     """
     if len(x1) > len(x2):
         raise ValueError("psi_step needs |x1| <= |x2|")
+    if set(x2).issuperset(x1):
+        return tuple(x1), (*range(e), *[b + e for b in x2])
     avail = list(x2)
     taken = [False] * len(avail)
     y1 = []

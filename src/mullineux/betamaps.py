@@ -10,19 +10,20 @@ and the charge gap detects when all remaining steps act as the identity,
 which both stops the forward walk soundly and skips inert stages of the
 inverse walk.
 
-Both walks are the one stage generator `walk_beta_sets`, which runs on a
-beta-set pair: the recursion in mullineux.engine keeps its partitions as
-beta-sets and calls it through psi_tilde_beta_sets.  `walk` is the same
-generator from a bipartition, encoded at minimal padding; psi_tilde and
-psi_tilde_inverse keep only where it ends, and the CLI renders every
-stage of it.  The walk carries the pair as beta-sets from stage to stage
-and never re-encodes it: a step's output is the next step's input at the
-same padding, and the inverse walk pads only when the next step needs a
-longer staircase.  The inverse walk reads the rank, the first part and
-the part counts it needs off the pair, so its input may come at any
-padding.  On beta-sets the shortcut is O(1): the largest element of the
-first set must lie in the staircase run 0, 1, ... that starts the second
-(shortcut_on_beta_sets).  Partitions are decoded only where one is
+Both walks are psi_tilde_beta_sets, one plain loop per direction, which
+runs on a beta-set pair and returns the pair it ends on: the recursion
+in mullineux.engine keeps its partitions as beta-sets and calls it
+directly, psi_tilde and psi_tilde_inverse call it on a bipartition
+encoded at minimal padding, and the CLI passes it a list to collect
+every stage for rendering.  The walk carries the pair as beta-sets from
+stage to stage and never re-encodes it: a step's output is the next
+step's input at the same padding, and the inverse walk pads only when
+the next step needs a longer staircase.  The inverse walk reads the rank,
+the first part and the part counts it needs off the pair, so its input
+may come at any padding, and it starts at the highest stage the shortcut
+does not skip.  On beta-sets the shortcut is O(1): the largest element of
+the first set must lie in the staircase run 0, 1, ... that starts the
+second (shortcut_on_beta_sets).  Partitions are decoded only where one is
 needed, for the final image and for rendering.
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
@@ -31,10 +32,6 @@ bipartitions, which is a tested property, not an input check.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from itertools import repeat
-from typing import Iterable, Iterator
 
 from mullineux._core import kernels
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
@@ -170,52 +167,53 @@ def shortcut_on_beta_sets(x1: tuple[int, ...], x2: tuple[int, ...], shift: int =
     return i < len(x2) and x2[i] == i
 
 
-def walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool = False) -> Iterator[Stage]:
-    """walk_beta_sets from blam encoded at bicharge s with minimal padding."""
-    yield from walk_beta_sets(e, s, encode_bipartition(blam, s), inverse)
+def psi_tilde_beta_sets(
+    e: int, s: Bicharge, pair: BetaPair, inverse: bool = False, stages: list[Stage] | None = None
+) -> BetaPair:
+    """The stabilized isomorphism walk from a beta-set pair at bicharge s: the pair it ends on.
 
-
-def walk_beta_sets(e: int, s: Bicharge, pair: BetaPair, inverse: bool = False) -> Iterator[Stage]:
-    """The stages of the stabilized isomorphism walk from a beta-set pair at bicharge s.
-
-    Yields (stage, before, after), where stage is the bicharge the step is
-    taken at, before and after are beta-set pairs (decode_bipartition reads
-    them; their padding is not fixed) and after is None at a stage where
-    the shortcut applies, which is an identity.  The forward walk takes
-    pair as the encoding of a bipartition at s, at any padding, steps
-    upward and ends with its first shortcut stage: from there on every step
-    is the identity.  It always terminates because steps preserve the rank
-    n, which bounds the first part and the part count, while the charge gap
-    grows by e each step; the shortcut inequality is forced once the gap
-    exceeds 2n.
+    This is psi_tilde (or psi_tilde_inverse) on beta-sets; the result's
+    padding is not fixed, and decode_bipartition reads it.  When stages is
+    a list, every stage is appended to it as (stage, before, after), where
+    stage is the bicharge the step is taken at, before and after are
+    beta-set pairs and after is None at a stage where the shortcut applies,
+    which is an identity.  The forward walk takes pair as the encoding of a
+    bipartition at s, at any padding, steps upward and ends with its first
+    shortcut stage: from there on every step is the identity.  It always
+    terminates because steps preserve the rank n, which bounds the first
+    part and the part count, while the charge gap grows by e each step; the
+    shortcut inequality is forced once the gap exceeds 2n.
 
     The inverse walk reads only the two partitions off pair, whose sets may
-    have any padding each, and yields all stable_shift(s, n, e) stages from
-    above the charge gap 2n, where they are inert for every bipartition of
-    rank n, down to s itself.  The shortcut inequality gives the first
-    stage where it fails, so the stages above are inert without a test and
-    the pair is first padded there, to that stage's minimal padding read
-    at the bicharge above it.  From there each stage is tested on the pair
-    and inverted for real where the shortcut fails, padding the pair first
-    if its second set lacks the staircase 0..e-1 the step removes.
+    have any padding each, and runs over the stable_shift(s, n, e) stages
+    from above the charge gap 2n, where they are inert for every
+    bipartition of rank n, down to s itself.  The shortcut inequality gives
+    the first stage top where it fails, so the stages above are inert
+    without a test: they are recorded only when stages is a list, and the
+    pair is padded once, to the minimal padding of stage top read at the
+    bicharge above it.  From there each stage is tested on the pair and
+    inverted for real where the shortcut fails, padding the pair first if
+    its second set lacks the staircase 0..e-1 the step removes.  With no
+    stage at all (n = 0) the walk ends on pair itself.
     """
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
     if not inverse:
-        stage = s
         while not shortcut_on_beta_sets(*pair):
             nxt = kernels.psi_step(e, *pair)
-            yield stage, pair, nxt
+            if stages is not None:
+                stages.append(((s1, s2), pair, nxt))
             pair = nxt
-            stage = (s1, stage[1] + e)
-        yield stage, pair, None
-        return
+            s2 += e
+        if stages is not None:
+            stages.append(((s1, s2), pair, None))
+        return pair
     a, b = minimal_beta_set(pair[0]), minimal_beta_set(pair[1])
     n = sum(a) + sum(b) - (len(a) * (len(a) - 1) + len(b) * (len(b) - 1)) // 2
     k = stable_shift(s, n, e)
     if k == 0:
-        return
+        return pair
     # at minimal padding only (0,), the empty partition, starts with 0
     parts1, parts2 = len(a) if a[0] else 0, len(b) if b[0] else 0
     # shortcut_applies(blam, (s1, s2 + j*e)) fails exactly for j*e < gap,
@@ -225,12 +223,12 @@ def walk_beta_sets(e: int, s: Bicharge, pair: BetaPair, inverse: bool = False) -
     low = s2 + max(top, 0) * e
     m = max(1 - s1, parts1 - s1, parts2 - low)
     pair = pad_beta_set(a, m + s1), pad_beta_set(b, m + low + e)
-    # the stages above top, inert without a test, go out without a step each
-    yield from zip([(s1, s2 + j * e) for j in range(k - 1, top, -1)], repeat(pair), repeat(None))
+    if stages is not None:
+        stages.extend(((s1, s2 + j * e), pair, None) for j in range(k - 1, top, -1))
     for j in range(top, -1, -1):
-        stage = (s1, s2 + j * e)
         if shortcut_on_beta_sets(pair[0], pair[1], e):
-            yield stage, pair, None
+            if stages is not None:
+                stages.append(((s1, s2 + j * e), pair, None))
             continue
         y1, y2 = pair
         if len(y2) < e or y2[e - 1] != e - 1:
@@ -240,27 +238,10 @@ def walk_beta_sets(e: int, s: Bicharge, pair: BetaPair, inverse: bool = False) -
             pad = e - run
             y1, y2 = pad_beta_set(y1, len(y1) + pad), pad_beta_set(y2, len(y2) + pad)
         nxt = kernels.psi_step_inverse(e, y1, y2)
-        yield stage, pair, nxt
+        if stages is not None:
+            stages.append(((s1, s2 + j * e), pair, nxt))
         pair = nxt
-
-
-def walk_end(pair: BetaPair, stages: Iterable[Stage]) -> BetaPair:
-    """The pair a run of stages ends on: pair itself if there are no stages."""
-    # the last stage holds the result: its output, or its input if it was skipped
-    for _, before, after in deque(stages, maxlen=1):
-        return before if after is None else after
     return pair
-
-
-def walk_image(blam: Bipartition, stages: Iterable[Stage]) -> Bipartition:
-    """Where a run of stages starting at blam ends (blam itself if there are none)."""
-    last = walk_end(None, stages)
-    return blam if last is None else decode_bipartition(last)
-
-
-def psi_tilde_beta_sets(e: int, s: Bicharge, pair: BetaPair, inverse: bool = False) -> BetaPair:
-    """Where walk_beta_sets ends: psi_tilde (or psi_tilde_inverse) on beta-sets."""
-    return walk_end(pair, walk_beta_sets(e, s, pair, inverse))
 
 
 def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
@@ -269,9 +250,9 @@ def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     On Uglov bipartitions of (e, s) this computes the stabilized
     isomorphism onto Kleshchev bipartitions.
     """
-    return walk_image(blam, walk(e, s, blam))
+    return decode_bipartition(psi_tilde_beta_sets(e, s, encode_bipartition(blam, s)))
 
 
 def psi_tilde_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     """Inverse of psi_tilde: walk from the stabilized world down to s."""
-    return walk_image(blam, walk(e, s, blam, inverse=True))
+    return decode_bipartition(psi_tilde_beta_sets(e, s, encode_bipartition(blam, s), True))

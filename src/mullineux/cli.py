@@ -191,9 +191,10 @@ def cmd_psi(args) -> int:
     e = args.e
     blam = parse_bipartition(args.bipartition)
     if args.to_dominant:
-        walked = list(betamaps.walk(e, s, blam, args.inverse))
-        image = betamaps.walk_image(blam, walked)
+        walked = []
+        pair = betamaps.encode_bipartition(blam, s)
         decode = betamaps.decode_bipartition
+        image = decode(betamaps.psi_tilde_beta_sets(e, s, pair, args.inverse, walked))
         stages = [
             (stage, decode(before), None if after is None else decode(after))
             for stage, before, after in walked

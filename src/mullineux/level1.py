@@ -97,16 +97,22 @@ def good_removable(lam: Partition, j: int, e: int) -> Node | None:
 
 def f_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Add the good addable j-node; None when the operator is undefined."""
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
     return kernels.f_tilde(lam, j % e, e)
 
 
 def e_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Remove the good removable j-node; None when the operator is undefined."""
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
     return kernels.e_tilde(lam, j % e, e)
 
 
 def replay_path(path: tuple[int, ...], e: int) -> Partition | None:
     """Replay f_tilde along a residue path from (), last entry applied first."""
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
     return kernels.replay(tuple(j % e for j in reversed(path)), e)
 
 

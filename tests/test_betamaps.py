@@ -28,7 +28,6 @@ from mullineux.betamaps import (
     psi_tilde_inverse,
     shortcut_applies,
     shortcut_on_beta_sets,
-    walk,
 )
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
 from mullineux.level2 import (
@@ -93,6 +92,21 @@ def test_matching_is_injective_and_matches_kernel(a, b):
     assert set(seconds) <= set(x2)
     for e in (2, 5):
         assert tuple(sorted(seconds)) == psi_step(e, x1, x2)[0]
+
+
+def test_step_matches_matching_pairs_exhaustively():
+    # every x1, x2 inside range(7): the closed form when x1 is a subset of
+    # x2 and the greedy matching otherwise give matching_pairs' outputs
+    subsets = [tuple(b for b in range(7) if mask >> b & 1) for mask in range(1 << 7)]
+    for x2 in subsets:
+        for x1 in subsets:
+            if len(x1) > len(x2):
+                continue
+            matched = {b for _, b in matching_pairs(x1, x2)}
+            y1 = tuple(sorted(matched))
+            for e in (2, 3, 4):
+                y2 = tuple(sorted({*range(e), *(a + e for a in x1), *(b + e for b in x2 if b not in matched)}))
+                assert kernels.psi_step(e, x1, x2) == (y1, y2), (e, x1, x2)
 
 
 def test_step_identity_branch():
@@ -358,10 +372,12 @@ WALK_GRID = [(2, (0, 0)), (2, (-1, 2)), (3, (0, 1)), (4, (1, 1))]
 
 
 def decoded_walk(e, s, blam, inverse=False):
-    """The walk's stages with both beta-set pairs decoded to bipartitions."""
+    """The walk's recorded stages with both beta-set pairs decoded to bipartitions."""
+    walked = []
+    psi_tilde_beta_sets(e, s, encode_bipartition(blam, s), inverse, walked)
     return [
         (stage, decode_bipartition(before), None if after is None else decode_bipartition(after))
-        for stage, before, after in walk(e, s, blam, inverse)
+        for stage, before, after in walked
     ]
 
 
@@ -417,10 +433,12 @@ def test_pair_walks_match_the_bipartition_walks_at_any_padding():
                     assert decode_bipartition(back) == psi_tilde_inverse(e, s, blam), (e, s, blam, extra)
 
 
-def test_walk_checks_charge_order_when_iterated():
-    stages = walk(3, (1, 0), ((), ()))
-    with pytest.raises(ChargeOrderError):
-        next(stages)
+def test_walk_checks_charge_order_on_call():
+    for inverse in (False, True):
+        stages = []
+        with pytest.raises(ChargeOrderError):
+            psi_tilde_beta_sets(3, (1, 0), ((0,), (0,)), inverse, stages)
+        assert stages == []
 
 
 def test_psi_tilde_round_trip_on_members():

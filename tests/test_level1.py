@@ -303,6 +303,12 @@ def test_modulus_below_two_is_refused():
                 mullineux_kleshchev(lam, e)
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 residue_path_to_empty(lam, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                f_tilde(lam, 0, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                e_tilde(lam, 0, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                replay_path((0,) * len(lam), e)
 
 
 # ---------------------------------------------------------------------------
