@@ -194,8 +194,11 @@ def psi_tilde_beta_sets(
     bicharge above it.  From there each stage is tested on the pair and
     inverted for real where the shortcut fails, padding the pair first if
     its second set lacks the staircase 0..e-1 the step removes.  With no
-    stage at all (n = 0) the walk ends on pair itself.
+    stage at all (n = 0) the walk ends on pair itself.  A modulus below 2
+    is refused at entry: at e = 0 the forward walk's charge gap never grows.
     """
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")

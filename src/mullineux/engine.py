@@ -7,6 +7,10 @@ under test, and any failure is collected as a counterexample, never raised.
 Its towers stop at the first stage whose pair meets the walks' shortcut,
 since every later stage is then provably an inclusion (see
 conjecture_tower); the report is the one the full towers give.
+Each stage's inclusion flag also picks how the next step is taken: from a
+pair whose first set lies inside the second, the step matches every
+element to itself, so the tower builds it in closed form and calls
+kernels.psi_step only after a stage that is not an inclusion.
 The cross-validation sweep runs the recursive algorithm against a proven
 oracle on every e-regular partition in range.  That oracle is Mullineux's
 e-rim symbol (kernels.mullineux_symbol), which costs about one pass over
@@ -136,8 +140,7 @@ class TowerStep(NamedTuple):
     inclusion: bool
 
 
-@dataclass(frozen=True)
-class TowerTrace:
+class TowerTrace(NamedTuple):
     """Iterated beta-set steps on (x, x), with the inclusion flag at each stage."""
 
     e: int
@@ -157,26 +160,40 @@ def conjecture_tower(
     stage 1 is a proved fact and is asserted outright; inclusion at larger
     odd stages is the conjecture and is only recorded.
 
+    Each stage's inclusion flag decides how the next step is taken.  A step
+    from a pair (x1, x2) with x1 inside x2 matches every a in x1 to itself
+    (the induction in kernels.psi_step's docstring), so it is built in
+    closed form as x1 and {0..e-1} u (x2 + e), with no kernel call and no
+    second subset test.  Stage 0 starts from (x, x), and every stage after
+    an inclusion starts from such a pair; kernels.psi_step runs only after
+    a stage that is not an inclusion.
+
     With stop_at_shortcut the tower ends after the first stage whose pair
     (x1, x2) meets betamaps.shortcut_on_beta_sets, or whose x1 is empty,
     because every later stage is then an inclusion.  The shortcut says that
-    x2 contains 0..m, m the largest element of x1.  The step then matches
-    each a in x1 to itself, so the next pair is x1 and {0..e-1} u (x2 + e),
-    which contains 0..m+e: the shortcut holds again and x1 is inside the
-    second set.  An empty x1 stays empty and is inside any set.  A tower
-    that stops at stage 0 skips the stage-1 assertion, but only where
-    stage 1 is an inclusion anyway.  The sweep stops its towers; library
-    callers get the full tower by default.  Since a stage that meets the
-    shortcut is an inclusion, the shortcut, computed once per stage, also
-    decides the inclusion flag there.
+    x2 contains 0..m, m the largest element of x1.  The next step is then
+    the closed form, whose second set contains 0..m+e: the shortcut holds
+    again and x1 is inside the second set.  An empty x1 stays empty and is
+    inside any set.  A tower that stops at stage 0 skips the stage-1
+    assertion, but only where stage 1 is an inclusion anyway.  The sweep
+    stops its towers; library callers get the full tower by default.  Since
+    a stage that meets the shortcut is an inclusion, the shortcut, computed
+    once per stage, also decides the inclusion flag there.
     """
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     x = tuple(x)
     x1, x2 = x, x
+    inclusion = True  # (x, x) is one
+    staircase = range(e)
     steps = []
     for k in range(k_max + 1):
-        x1, x2 = kernels.psi_step(e, x1, x2)
+        if inclusion:
+            x2 = (*staircase, *[b + e for b in x2])
+        else:
+            x1, x2 = kernels.psi_step(e, x1, x2)
         shortcut = not x1 or betamaps.shortcut_on_beta_sets(x1, x2)
         inclusion = shortcut or set(x2).issuperset(x1)
         if k == 1 and not inclusion:

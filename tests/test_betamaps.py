@@ -7,12 +7,17 @@ equivariance with the charged crystal operators, and identity in the
 stabilized regime.
 """
 
+import os
+import subprocess
+import sys
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mullineux
 from mullineux._core import kernels
 from mullineux.betamaps import (
     decode_bipartition,
@@ -439,6 +444,24 @@ def test_walk_checks_charge_order_on_call():
         with pytest.raises(ChargeOrderError):
             psi_tilde_beta_sets(3, (1, 0), ((0,), (0,)), inverse, stages)
         assert stages == []
+
+
+def test_walk_refuses_a_modulus_below_two():
+    blam = ((2,), (1,))
+    for e in (-2, -1, 0, 1):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+            psi_tilde_inverse(e, (0, 0), blam)
+        if e:
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                psi_tilde(e, (0, 0), blam)
+    # without the check the e = 0 forward walk never ends, since the charge
+    # gap never grows; a child process turns that into a failure, not a hang
+    code = "from mullineux.betamaps import psi_tilde; psi_tilde(0, (0, 0), ((2,), (1,)))"
+    src = str(Path(mullineux.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1
+    assert "ValueError: modulus must be >= 2, got 0" in done.stderr
 
 
 def test_psi_tilde_round_trip_on_members():

@@ -8,6 +8,8 @@ import pytest
 from mullineux import engine
 from mullineux._core import kernels
 from mullineux.engine import (
+    TowerStep,
+    TowerTrace,
     conjecture_tower,
     cross_validate,
     mullineux_conjectural,
@@ -93,6 +95,47 @@ def test_tower_stopped_at_the_shortcut_is_a_prefix_of_the_full_tower():
     assert stopped_early > 0
 
 
+def naive_tower(step, e, x, k_max, stop_at_shortcut):
+    """The tower with a call of step at every stage, as (k, x1, x2, inclusion) rows."""
+    x1, x2 = x, x
+    rows = []
+    for k in range(k_max + 1):
+        x1, x2 = step(e, x1, x2)
+        rows.append((k, x1, x2, set(x1) <= set(x2)))
+        if stop_at_shortcut and shortcut_holds(TowerStep(k, x1, x2, None)):
+            break
+    return rows
+
+
+def test_fused_tower_matches_a_kernel_call_at_every_stage(monkeypatch):
+    step = kernels.psi_step
+    calls = []
+
+    def counted_step(e, x1, x2):
+        calls.append(e)
+        return step(e, x1, x2)
+
+    monkeypatch.setattr(kernels, "psi_step", counted_step)
+    for e in (2, 3, 4, 5):
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                x = beta_set(lam, max(1, len(lam)))
+                for start in (x, beta_set(lam, len(x) + 3)):
+                    for stop in (False, True):
+                        calls.clear()
+                        trace = conjecture_tower(e, start, 9, stop)
+                        assert [tuple(s) for s in trace.steps] == naive_tower(step, e, start, 9, stop)
+                        # one kernel call per stage that follows a non-inclusion
+                        assert len(calls) == sum(not s.inclusion for s in trace.steps[:-1]), (e, start)
+
+
+def test_tower_trace_pickles():
+    trace = conjecture_tower(3, X_STAR, 5)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert copy == trace and type(copy) is TowerTrace
+    assert copy.odd_failures() == trace.odd_failures()
+
+
 def test_tower_stops_on_an_empty_first_set():
     trace = conjecture_tower(3, (), 5, stop_at_shortcut=True)
     assert [(s.k, s.x1, s.inclusion) for s in trace.steps] == [(0, (), True)]
@@ -140,21 +183,24 @@ def flag_ignoring_tower(monkeypatch):
 
 
 def test_stopped_towers_give_the_full_towers_document(monkeypatch):
-    step = kernels.psi_step
-    steps = []
+    # work is counted in tower stages: past the shortcut every step is the
+    # closed form, so kernel calls are the same for stopped and full towers
+    tower = engine.conjecture_tower
+    stages = []
 
-    def counted_step(e, x1, x2):
-        steps.append(e)
-        return step(e, x1, x2)
+    def counted_tower(*args):
+        trace = tower(*args)
+        stages.append(len(trace.steps))
+        return trace
 
-    monkeypatch.setattr(kernels, "psi_step", counted_step)
+    monkeypatch.setattr(engine, "conjecture_tower", counted_tower)
     # the golden digests cover only the e-regular sweep
     stopped = sweep_conjecture([2, 3, 4, 5], 12, 9, regular_only=False).to_document()
-    stopped_steps = len(steps)
+    stopped_stages = sum(stages)
     flag_ignoring_tower(monkeypatch)
     full = sweep_conjecture([2, 3, 4, 5], 12, 9, regular_only=False).to_document()
     assert stopped == full
-    assert stopped_steps < len(steps) - stopped_steps
+    assert stopped_stages < sum(stages) - stopped_stages
 
 
 def test_stopped_towers_keep_odd_stage_failures(monkeypatch):

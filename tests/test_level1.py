@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mullineux._core import kernels
+from mullineux.engine import conjecture_tower
 from mullineux.errors import NotRegularError
 from mullineux.level1 import (
     addable_nodes,
@@ -25,6 +26,7 @@ from mullineux.level1 import (
     signature_word,
 )
 from mullineux.partitions import (
+    beta_set,
     conjugate,
     enumerate_e_regular,
     enumerate_partitions,
@@ -309,6 +311,8 @@ def test_modulus_below_two_is_refused():
                 e_tilde(lam, 0, e)
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 replay_path((0,) * len(lam), e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                conjecture_tower(e, beta_set(lam, max(1, len(lam))), 3)
 
 
 # ---------------------------------------------------------------------------
