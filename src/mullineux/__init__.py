@@ -5,11 +5,19 @@ ways: through the level-1 crystal (Kleshchev's algorithm, the oracle) and
 through a modulus-doubling recursion built on beta-set crystal
 isomorphisms.  Sweep harnesses verify the inclusion property the recursion
 rests on and cross-validate the two algorithms exhaustively.
+
+The exports are what the engine runs: partitions and beta-sets, the
+level-1 crystal moves and Kleshchev's algorithm, the beta-set steps and
+their stabilized walks, the harnesses and their errors.  The reference
+crystals the tests check these against (level-1 signature words, the
+greedy matching and the level-2 crystal on bipartitions) live in
+tests/crystal_reference.py and are not part of the package.
 """
 
 from mullineux.betamaps import (
+    Bicharge,
+    Bipartition,
     encode_bipartition,
-    matching_pairs,
     minimal_padding,
     psi_bipartition,
     psi_bipartition_inverse,
@@ -34,9 +42,7 @@ from mullineux.errors import (
     ConjectureViolationError,
     DepthExceededError,
     NotInImageError,
-    NotKleshchevError,
     NotRegularError,
-    NotUglovError,
     PartitionTooLargeError,
     SizeOrderError,
 )
@@ -45,26 +51,9 @@ from mullineux.level1 import (
     crystal_graph,
     e_tilde,
     f_tilde,
-    good_addable,
-    good_removable,
     mullineux_kleshchev,
     replay_path,
     residue_path_to_empty,
-    signature_word,
-)
-from mullineux.level2 import (
-    Bicharge,
-    Bipartition,
-    e_tilde2,
-    f_tilde2,
-    is_kleshchev,
-    is_uglov,
-    is_very_dominant,
-    mullineux_level2,
-    node_less,
-    residue_path_to_empty2,
-    replay_path2,
-    uglov_bipartitions,
 )
 from mullineux.partitions import (
     MAX_RANK,
@@ -105,28 +94,13 @@ __all__ = [
     "crystal_graph",
     "e_tilde",
     "f_tilde",
-    "good_addable",
-    "good_removable",
     "mullineux_kleshchev",
     "replay_path",
     "residue_path_to_empty",
-    "signature_word",
-    # level-2 crystal
+    # beta-set isomorphisms
     "Bicharge",
     "Bipartition",
-    "e_tilde2",
-    "f_tilde2",
-    "is_kleshchev",
-    "is_uglov",
-    "is_very_dominant",
-    "mullineux_level2",
-    "node_less",
-    "replay_path2",
-    "residue_path_to_empty2",
-    "uglov_bipartitions",
-    # beta-set isomorphisms
     "encode_bipartition",
-    "matching_pairs",
     "minimal_padding",
     "psi_bipartition",
     "psi_bipartition_inverse",
@@ -149,9 +123,7 @@ __all__ = [
     "ConjectureViolationError",
     "DepthExceededError",
     "NotInImageError",
-    "NotKleshchevError",
     "NotRegularError",
-    "NotUglovError",
     "PartitionTooLargeError",
     "SizeOrderError",
 ]

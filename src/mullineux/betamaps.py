@@ -27,40 +27,22 @@ second (shortcut_on_beta_sets).  Partitions are decoded only where one is
 needed, for the final image and for rendering.
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
-(commuting with the operators of mullineux.level2) only holds on Uglov
-bipartitions, which is a tested property, not an input check.
+(commuting with the charged operators of the level-2 crystal, which the
+tests keep as a reference in tests/crystal_reference.py) only holds on
+Uglov bipartitions, which is a tested property, not an input check.
 """
 
 from __future__ import annotations
 
 from mullineux._core import kernels
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
-from mullineux.level2 import Bicharge, Bipartition, stable_shift
-from mullineux.partitions import beta_set, minimal_beta_set, pad_beta_set, partition_from_beta_set
+from mullineux.partitions import Partition, beta_set, minimal_beta_set, pad_beta_set, partition_from_beta_set
 
+Bipartition = tuple[Partition, Partition]
+Bicharge = tuple[int, int]
 BetaPair = tuple[tuple[int, ...], tuple[int, ...]]
 # (stage bicharge, beta-set pair before the step, after it or None if skipped)
 Stage = tuple[Bicharge, BetaPair, BetaPair | None]
-
-
-def matching_pairs(x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The greedy injection behind the forward step, as ordered (a, b) pairs.
-
-    Processes x1 smallest element first; each a takes the largest
-    still-unmatched b <= a, falling back to the largest unmatched element.
-    Kept independent of the kernels so it can cross-check them: the sorted
-    second coordinates are exactly the first output of psi_step.
-    """
-    if len(x1) > len(x2):
-        raise SizeOrderError(f"|x1| = {len(x1)} exceeds |x2| = {len(x2)}")
-    remaining = list(x2)
-    pairs = []
-    for a in x1:
-        below = [b for b in remaining if b <= a]
-        b = max(below) if below else max(remaining)
-        remaining.remove(b)
-        pairs.append((a, b))
-    return tuple(pairs)
 
 
 def psi_step(e: int, x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -93,6 +75,19 @@ def psi_step_inverse(e: int, y1: tuple[int, ...], y2: tuple[int, ...]) -> tuple[
     return kernels.psi_step_inverse(e, tuple(y1), tuple(y2))
 
 
+def stable_shift(s: Bicharge, n: int, e: int) -> int:
+    """Smallest k >= 0 with s2 + k*e - s1 > 2n.
+
+    Beyond that gap every second-component candidate node outranks every
+    first-component one in content (contents live within n of the
+    component charge), so node order, signature words and the whole crystal
+    structure on rank <= n bipartitions no longer depend on k.  The gap
+    must be positive: a large gap of the opposite sign stabilizes too, but
+    to a different crystal with the component roles exchanged.
+    """
+    return max(0, (2 * n - s[1] + s[0]) // e + 1)
+
+
 def minimal_padding(blam: Bipartition, s: Bicharge) -> int:
     """Smallest padding m with m + s1 >= max(1, #parts1) and m + s2 >= #parts2."""
     return max(1 - s[0], len(blam[0]) - s[0], len(blam[1]) - s[1])
@@ -110,33 +105,30 @@ def decode_bipartition(pair: BetaPair) -> Bipartition:
     return partition_from_beta_set(pair[0]), partition_from_beta_set(pair[1])
 
 
-def psi_bipartition(e: int, s: Bicharge, blam: Bipartition, m: int | None = None) -> Bipartition:
+def psi_bipartition(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     """One crystal-isomorphism step on bipartitions, (s1, s2) -> (s1, s2 + e).
 
-    Rank-preserving and independent of the padding m, which is exposed
-    only so the independence can be property-tested.
+    Rank-preserving and independent of the padding of the encoding, which
+    the tests check on psi_step directly.
     """
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    x1, x2 = encode_bipartition(blam, s, m)
+    x1, x2 = encode_bipartition(blam, s)
     y1, y2 = psi_step(e, x1, x2)
     return partition_from_beta_set(y1), partition_from_beta_set(y2)
 
 
-def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition, m: int | None = None) -> Bipartition:
+def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     """Inverse of psi_bipartition at stage s: undoes (s1, s2) -> (s1, s2 + e).
 
-    The input is read at bicharge (s1, s2 + e); the padding must satisfy
-    m + s2 >= #parts2 so that the encoding exposes the staircase, and the
-    default picks the smallest such m.
+    The input is read at bicharge (s1, s2 + e), at the minimal padding of
+    stage s: m + s2 >= #parts2, so that the encoding exposes the staircase.
     """
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    if m is None:
-        m = minimal_padding(blam, s)
-    y1, y2 = encode_bipartition(blam, (s1, s2 + e), m)
+    y1, y2 = encode_bipartition(blam, (s1, s2 + e), minimal_padding(blam, s))
     x1, x2 = psi_step_inverse(e, y1, y2)
     return partition_from_beta_set(x1), partition_from_beta_set(x2)
 

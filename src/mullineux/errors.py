@@ -9,14 +9,6 @@ class PartitionTooLargeError(ValueError):
     """Partition rank exceeds partitions.MAX_RANK, the size the entry points accept."""
 
 
-class NotUglovError(ValueError):
-    """Bipartition is not reachable from the empty bipartition at the given bicharge."""
-
-
-class NotKleshchevError(ValueError):
-    """Bipartition is not Kleshchev for the given modulus and bicharge class."""
-
-
 class ChargeOrderError(ValueError):
     """Operation requires the bicharge to satisfy s1 <= s2."""
 

@@ -6,7 +6,10 @@ from the bottom row of the diagram up (larger row index first), encoded as
 A and R, and every factor RA is cancelled.  The rightmost surviving A is
 the good addable node, the leftmost surviving R the good removable node.
 This reading order is pinned down by the known Mullineux values it has to
-reproduce; flipping it breaks them.
+reproduce; flipping it breaks them.  The kernels in mullineux._core.kernels
+read the words in this order in one scan of the rows; the word-by-word
+definition is kept with the tests (tests/crystal_reference.py), which check
+the kernels against it.
 
 Residue paths (i_1, ..., i_n) are stored with the convention that i_n is
 applied first when replaying from the empty partition.  Negating every
@@ -33,67 +36,6 @@ from dataclasses import dataclass
 from mullineux._core import kernels
 from mullineux.errors import NotRegularError
 from mullineux.partitions import Partition, check_rank, enumerate_e_regular
-
-Node = tuple[int, int]
-
-
-def addable_nodes(lam: Partition, j: int, e: int) -> list[Node]:
-    """Addable j-nodes of lam, bottom row first."""
-    r = len(lam)
-    out = []
-    for a in range(r + 1, 0, -1):
-        row_len = lam[a - 1] if a <= r else 0
-        if (a > r or a == 1 or lam[a - 2] > row_len) and (row_len + 1 - a) % e == j:
-            out.append((a, row_len + 1))
-    return out
-
-
-def removable_nodes(lam: Partition, j: int, e: int) -> list[Node]:
-    """Removable j-nodes of lam, bottom row first."""
-    r = len(lam)
-    out = []
-    for a in range(r, 0, -1):
-        if (a == r or lam[a - 1] > lam[a]) and (lam[a - 1] - a) % e == j:
-            out.append((a, lam[a - 1]))
-    return out
-
-
-def signature_word(lam: Partition, j: int, e: int) -> list[tuple[str, Node]]:
-    """The A/R word of the addable and removable j-nodes in reading order."""
-    word = [("A", node) for node in addable_nodes(lam, j, e)]
-    word += [("R", node) for node in removable_nodes(lam, j, e)]
-    word.sort(key=lambda letter: -letter[1][0])  # larger row index reads first
-    return word
-
-
-def reduce_signature(word: list[tuple[str, Node]]) -> list[tuple[str, Node]]:
-    """Cancel RA factors until the word has shape A^p R^q."""
-    stack: list[tuple[str, Node]] = []
-    for letter in word:
-        if letter[0] == "A" and stack and stack[-1][0] == "R":
-            stack.pop()
-        else:
-            stack.append(letter)
-    return stack
-
-
-def good_addable(lam: Partition, j: int, e: int) -> Node | None:
-    """Rightmost A of the reduced signature word, or None."""
-    reduced = reduce_signature(signature_word(lam, j, e))
-    best = None
-    for kind, node in reduced:
-        if kind == "A":
-            best = node
-    return best
-
-
-def good_removable(lam: Partition, j: int, e: int) -> Node | None:
-    """Leftmost R of the reduced signature word, or None."""
-    for kind, node in reduce_signature(signature_word(lam, j, e)):
-        if kind == "R":
-            return node
-    return None
-
 
 def f_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Add the good addable j-node; None when the operator is undefined."""
@@ -178,13 +120,6 @@ def crystal_graph(e: int, n_max: int) -> CrystalGraph:
 
 
 __all__ = [
-    "Node",
-    "addable_nodes",
-    "removable_nodes",
-    "signature_word",
-    "reduce_signature",
-    "good_addable",
-    "good_removable",
     "f_tilde",
     "e_tilde",
     "replay_path",

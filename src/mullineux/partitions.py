@@ -76,10 +76,6 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam) if lam else "-"
 
 
-def rank(lam: Partition) -> int:
-    return sum(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram (an involution).
 

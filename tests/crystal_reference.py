@@ -1,22 +1,138 @@
-"""Level-2 Fock-space crystal on bipartitions, parameterized by a bicharge.
+"""Reference crystals that the tests check the package's maps against.
 
-A node (a, b, c) of a bipartition has content b - a + s_c and residue
-content mod e.  Same-residue addable/removable nodes are ordered by
-content, with ties broken so the second component comes first; signature
-words, good nodes and the operators f_tilde2/e_tilde2 then work exactly as
-at level 1.  Bipartitions reachable from the empty pair are the Uglov
-bipartitions of the bicharge; once the charge gap is large relative to the
-rank ("very dominant") the reachable set stabilizes and is called the set
-of Kleshchev bipartitions.
+The package computes with the beta-set isomorphisms, their stabilizing
+walks and the two Mullineux oracles, whose kernels scan the rows of a
+diagram directly.  This module spells out the definitions those maps are
+checked against, and nothing in the package imports it:
+
+- the level-1 signature words of single residues, with their good nodes;
+- the greedy matching behind the beta-set step, pair by pair;
+- the level-2 Fock-space crystal on bipartitions, parameterized by a
+  bicharge.
+
+Level 1.  Kashiwara operators act by adding or removing "good" nodes
+selected from the signature word of a residue: all addable and removable
+j-nodes are read from the bottom row of the diagram up (larger row index
+first), encoded as A and R, and every factor RA is cancelled.  The
+rightmost surviving A is the good addable node, the leftmost surviving R
+the good removable node.
+
+Level 2.  A node (a, b, c) of a bipartition has content b - a + s_c and
+residue content mod e.  Same-residue addable/removable nodes are ordered
+by content, with ties broken so the second component comes first;
+signature words, good nodes and the operators f_tilde2/e_tilde2 then work
+exactly as at level 1.  Bipartitions reachable from the empty pair are the
+Uglov bipartitions of the bicharge; once the charge gap is large relative
+to the rank ("very dominant") the reachable set stabilizes and is called
+the set of Kleshchev bipartitions.
 """
 
 from __future__ import annotations
 
-from mullineux.errors import NotKleshchevError, NotUglovError
+from mullineux.betamaps import Bicharge, Bipartition, stable_shift
+from mullineux.errors import SizeOrderError
 from mullineux.partitions import Partition
 
-Bipartition = tuple[Partition, Partition]
-Bicharge = tuple[int, int]
+# ---------------------------------------------------------------------------
+# level-1 signature words
+
+Node = tuple[int, int]
+
+
+def addable_nodes(lam: Partition, j: int, e: int) -> list[Node]:
+    """Addable j-nodes of lam, bottom row first."""
+    r = len(lam)
+    out = []
+    for a in range(r + 1, 0, -1):
+        row_len = lam[a - 1] if a <= r else 0
+        if (a > r or a == 1 or lam[a - 2] > row_len) and (row_len + 1 - a) % e == j:
+            out.append((a, row_len + 1))
+    return out
+
+
+def removable_nodes(lam: Partition, j: int, e: int) -> list[Node]:
+    """Removable j-nodes of lam, bottom row first."""
+    r = len(lam)
+    out = []
+    for a in range(r, 0, -1):
+        if (a == r or lam[a - 1] > lam[a]) and (lam[a - 1] - a) % e == j:
+            out.append((a, lam[a - 1]))
+    return out
+
+
+def signature_word(lam: Partition, j: int, e: int) -> list[tuple[str, Node]]:
+    """The A/R word of the addable and removable j-nodes in reading order."""
+    word = [("A", node) for node in addable_nodes(lam, j, e)]
+    word += [("R", node) for node in removable_nodes(lam, j, e)]
+    word.sort(key=lambda letter: -letter[1][0])  # larger row index reads first
+    return word
+
+
+def reduce_signature(word: list[tuple[str, Node]]) -> list[tuple[str, Node]]:
+    """Cancel RA factors until the word has shape A^p R^q."""
+    stack: list[tuple[str, Node]] = []
+    for letter in word:
+        if letter[0] == "A" and stack and stack[-1][0] == "R":
+            stack.pop()
+        else:
+            stack.append(letter)
+    return stack
+
+
+def good_addable(lam: Partition, j: int, e: int) -> Node | None:
+    """Rightmost A of the reduced signature word, or None."""
+    reduced = reduce_signature(signature_word(lam, j, e))
+    best = None
+    for kind, node in reduced:
+        if kind == "A":
+            best = node
+    return best
+
+
+def good_removable(lam: Partition, j: int, e: int) -> Node | None:
+    """Leftmost R of the reduced signature word, or None."""
+    for kind, node in reduce_signature(signature_word(lam, j, e)):
+        if kind == "R":
+            return node
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the greedy matching of the beta-set step
+
+
+def matching_pairs(x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The greedy injection behind the forward step, as ordered (a, b) pairs.
+
+    Processes x1 smallest element first; each a takes the largest
+    still-unmatched b <= a, falling back to the largest unmatched element.
+    Kept independent of the kernels so it can cross-check them: the sorted
+    second coordinates are exactly the first output of psi_step.
+    """
+    if len(x1) > len(x2):
+        raise SizeOrderError(f"|x1| = {len(x1)} exceeds |x2| = {len(x2)}")
+    remaining = list(x2)
+    pairs = []
+    for a in x1:
+        below = [b for b in remaining if b <= a]
+        b = max(below) if below else max(remaining)
+        remaining.remove(b)
+        pairs.append((a, b))
+    return tuple(pairs)
+
+
+# ---------------------------------------------------------------------------
+# level-2 crystal
+
+
+class NotUglovError(ValueError):
+    """Bipartition is not reachable from the empty bipartition at the given bicharge."""
+
+
+class NotKleshchevError(ValueError):
+    """Bipartition is not Kleshchev for the given modulus and bicharge class."""
+
+
 Node3 = tuple[int, int, int]  # (row, col, component)
 
 EMPTY: Bipartition = ((), ())
@@ -160,23 +276,10 @@ def is_very_dominant(s: Bicharge, n: int, e: int) -> bool:
 
     Caution: this inequality understates the charge gap actually needed for
     the rank-n crystal to stabilize (small counterexamples exist and are
-    kept as regression tests), so the stabilization machinery below relies
-    on stable_shift instead.
+    kept as regression tests), so the stabilization machinery relies on
+    betamaps.stable_shift instead.
     """
     return abs(s[1] - s[0]) > n - 1 - e
-
-
-def stable_shift(s: Bicharge, n: int, e: int) -> int:
-    """Smallest k >= 0 with s2 + k*e - s1 > 2n.
-
-    Beyond that gap every second-component candidate node outranks every
-    first-component one in content (contents live within n of the
-    component charge), so node order, signature words and the whole crystal
-    structure on rank <= n bipartitions no longer depend on k.  The gap
-    must be positive: a large gap of the opposite sign stabilizes too, but
-    to a different crystal with the component roles exchanged.
-    """
-    return max(0, (2 * n - s[1] + s[0]) // e + 1)
 
 
 def is_kleshchev(blam: Bipartition, e: int, s: Bicharge) -> bool:

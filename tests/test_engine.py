@@ -205,18 +205,38 @@ def test_stopped_towers_give_the_full_towers_document(monkeypatch):
 
 def test_stopped_towers_keep_odd_stage_failures(monkeypatch):
     step = kernels.psi_step
+    inferred = []
 
     def broken_step(e, x1, x2):
         y1, y2 = step(e, x1, x2)
-        y2 = y2[1:]  # without 0 in the second set the shortcut never holds
-        k = (len(y2) - len(y1)) // (e - 1) - 1  # each stage adds e - 1 elements
+        # without 0 in the second set the shortcut never holds; a new top
+        # element keeps |y2| = |x2| + e, as the closed-form step does
+        y2 = y2[1:] + (y2[-1] + 1,)
+        k = (len(y2) - len(y1)) // e - 1  # each stage adds e elements
+        inferred.append(k)
         if k >= 3 and k % 2 and y1[-1] in y2:
             # odd stages past the proved one lose an element of the first set
             y2 = tuple(b for b in y2 if b != y1[-1]) + (y2[-1] + 1,)
         return y1, y2
 
     monkeypatch.setattr(kernels, "psi_step", broken_step)
-    stopped = [sweep_conjecture([2, 3, 4, 5], 10, 7, jobs=jobs).to_document() for jobs in (1, 2)]
+    tower = engine.conjecture_tower
+    towers = []
+
+    def recorded_tower(*args):
+        towers.append(tower(*args))
+        return towers[-1]
+
+    monkeypatch.setattr(engine, "conjecture_tower", recorded_tower)
+    stopped = [sweep_conjecture([2, 3, 4, 5], 10, 7, jobs=1).to_document()]
+    # the serial sweep calls the kernel exactly for the stages after a
+    # non-inclusion, in order, and the broken kernel reads each one's stage
+    true_stages = [
+        now.k for t in towers for before, now in zip(t.steps, t.steps[1:]) if not before.inclusion
+    ]
+    assert inferred == true_stages
+    monkeypatch.setattr(engine, "conjecture_tower", tower)
+    stopped.append(sweep_conjecture([2, 3, 4, 5], 10, 7, jobs=2).to_document())
     flag_ignoring_tower(monkeypatch)
     full = sweep_conjecture([2, 3, 4, 5], 10, 7).to_document()
     assert {c.get("k") for c in full["counterexamples"]} >= {3, 5, 7}

@@ -13,17 +13,12 @@ from mullineux._core import kernels
 from mullineux.engine import conjecture_tower
 from mullineux.errors import NotRegularError
 from mullineux.level1 import (
-    addable_nodes,
     crystal_graph,
     e_tilde,
     f_tilde,
-    good_addable,
-    good_removable,
     mullineux_kleshchev,
-    removable_nodes,
     replay_path,
     residue_path_to_empty,
-    signature_word,
 )
 from mullineux.partitions import (
     beta_set,
@@ -35,6 +30,13 @@ from mullineux.partitions import (
 )
 
 from conftest import partitions
+from crystal_reference import (
+    addable_nodes,
+    good_addable,
+    good_removable,
+    removable_nodes,
+    signature_word,
+)
 
 # ---------------------------------------------------------------------------
 # oracles

@@ -7,9 +7,13 @@ its known componentwise description.
 
 import pytest
 
-from mullineux.errors import NotKleshchevError, NotUglovError
+from mullineux.betamaps import stable_shift
 from mullineux.level1 import mullineux_kleshchev, residue_path_to_empty
-from mullineux.level2 import (
+from mullineux.partitions import enumerate_bipartitions, enumerate_e_regular
+
+from crystal_reference import (
+    NotKleshchevError,
+    NotUglovError,
     e_tilde2,
     f_tilde2,
     is_kleshchev,
@@ -20,10 +24,8 @@ from mullineux.level2 import (
     replay_path2,
     residue_path_to_empty2,
     signature_word2,
-    stable_shift,
     uglov_bipartitions,
 )
-from mullineux.partitions import enumerate_bipartitions, enumerate_e_regular
 
 
 def test_node_less():
