@@ -26,10 +26,7 @@ f_{-j}^q, one scan per string instead of one per node.
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 
-
-def _check_modulus(e):
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+from mullineux.errors import check_modulus
 
 
 def _open_removable(rows, e):
@@ -100,14 +97,14 @@ def _add_string(rows, j, q, e):
 
 def f_tilde(parts, j, e):
     """Add the good addable j-node, or None when there is none."""
-    _check_modulus(e)
+    check_modulus(e)
     rows = list(parts)
     return tuple(rows) if _add_string(rows, j, 1, e) else None
 
 
 def e_tilde(parts, j, e):
     """Remove the good removable j-node, or None when there is none."""
-    _check_modulus(e)
+    check_modulus(e)
     found = _open_removable(parts, e)[j]
     if not found:
         return None
@@ -134,7 +131,7 @@ def strip_residues(parts, e):
     the residues in removal order, or None if the process stalls early (the
     partition is not e-regular).
     """
-    _check_modulus(e)
+    check_modulus(e)
     rows = list(parts)
     out = []
     while rows:
@@ -163,7 +160,7 @@ def replay(residues, e):
     Runs of equal residues are applied as one string f_j^q.  Returns None
     as soon as a step is undefined.
     """
-    _check_modulus(e)
+    check_modulus(e)
     return _replay_strings(((j, len(list(run))) for j, run in groupby(residues)), e)
 
 
@@ -176,7 +173,7 @@ def mullineux(parts, e):
     (j, q) as f_{-j}^q in reverse order.  The image does not depend on the
     stripping order, so it is the one the canonical path gives.
     """
-    _check_modulus(e)
+    check_modulus(e)
     rows = list(parts)
     strings = []
     while rows:
@@ -292,7 +289,7 @@ def mullineux_symbol(parts, e):
     column back with add_e_rim.  Every rim takes a node from every row, so a
     call costs about one pass over the nodes.
     """
-    _check_modulus(e)
+    check_modulus(e)
     if any(parts[i] == parts[i + e - 1] for i in range(len(parts) - e + 1)):
         return None
     columns = []

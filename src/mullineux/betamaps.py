@@ -35,7 +35,7 @@ Uglov bipartitions, which is a tested property, not an input check.
 from __future__ import annotations
 
 from mullineux._core import kernels
-from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
+from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError, check_modulus
 from mullineux.partitions import Partition, beta_set, minimal_beta_set, pad_beta_set, partition_from_beta_set
 
 Bipartition = tuple[Partition, Partition]
@@ -53,8 +53,7 @@ def psi_step(e: int, x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[in
     matched image is y1; y2 is x1 + e, the unmatched rest of x2 + e, and
     the staircase 0..e-1, so |y2| = |x2| + e.
     """
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     if len(x1) > len(x2):
         raise SizeOrderError(f"|x1| = {len(x1)} exceeds |x2| = {len(x2)}")
     return kernels.psi_step(e, tuple(x1), tuple(x2))
@@ -68,8 +67,7 @@ def psi_step_inverse(e: int, y1: tuple[int, ...], y2: tuple[int, ...]) -> tuple[
     falling back to the smallest unmatched element.  The matched image is
     x1, and x2 collects y1 and the unmatched rest.
     """
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     if tuple(y2[:e]) != tuple(range(e)):
         raise NotInImageError(f"y2 must contain the staircase 0..{e - 1}")
     return kernels.psi_step_inverse(e, tuple(y1), tuple(y2))
@@ -189,8 +187,7 @@ def psi_tilde_beta_sets(
     stage at all (n = 0) the walk ends on pair itself.  A modulus below 2
     is refused at entry: at e = 0 the forward walk's charge gap never grows.
     """
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")

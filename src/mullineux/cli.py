@@ -4,7 +4,8 @@ Subcommands cover single computations (mull, psi), the two sweep harnesses
 (verify-conjecture, cross-validate) and crystal graph export.  JSON goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success or verified, 1 usage
 or parse error, 2 sweep counterexample, 3 conjecture violation in a single
-computation.
+computation.  A reader that closes stdout early (| head) ends the output
+quietly and leaves the exit code as it is.
 
 Wire formats: a partition is a comma-separated weakly decreasing list of
 positive ints, with "" or "-" for the empty partition; a bipartition joins
@@ -15,6 +16,7 @@ loudly instead of being reordered.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -72,9 +74,24 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _stdout():
+    """stdout for one document.  A reader that closes the pipe early (| head)
+    ends the output quietly, and the command keeps its exit code."""
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; let that go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    with _stdout() as out:
+        json.dump(doc, out, indent=2)
+        out.write("\n")
 
 
 def _write_csv(path: str, report: engine.SweepReport) -> None:
@@ -116,10 +133,7 @@ def cmd_mull(args) -> int:
                 doc["error"] = "the recursion and Kleshchev's algorithm disagree"
                 _emit(doc)
                 return 3
-    except NotRegularError as exc:
-        print(f"mullineux: error: {exc}", file=sys.stderr)
-        return 1
-    except DepthExceededError as exc:
+    except (NotRegularError, DepthExceededError) as exc:
         print(f"mullineux: error: {exc}", file=sys.stderr)
         return 1
     except ConjectureViolationError as exc:
@@ -245,13 +259,13 @@ def cmd_crystal_export(args) -> int:
         }
         _emit(doc)
     else:
-        lines = [f'digraph "crystal_e{args.e}" {{']
-        for v in graph.vertices:
-            lines.append(f'  "{format_partition(v)}";')
-        for a, j, b in graph.edges:
-            lines.append(f'  "{format_partition(a)}" -> "{format_partition(b)}" [label="{j}"];')
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        with _stdout() as out:
+            out.write(f'digraph "crystal_e{args.e}" {{\n')
+            for v in graph.vertices:
+                out.write(f'  "{format_partition(v)}";\n')
+            for a, j, b in graph.edges:
+                out.write(f'  "{format_partition(a)}" -> "{format_partition(b)}" [label="{j}"];\n')
+            out.write("}\n")
     return 0
 
 

@@ -47,17 +47,17 @@ depth_limit and oracle_fallback.  It stores ConjectureViolationError and
 DepthExceededError outcomes as well as traces and raises them again on
 every hit, so a violation is never masked; a hit returns the very trace
 object computed first, so trace trees share subtrees instead of copying
-them, and a parent's mu_beta holds its children's cached beta-sets rather
-than fresh copies.  The top-level node of mullineux_conjectural bypasses
-the memo: a sweep checks each partition once, so a top-level entry is
-never hit, and each one would push out a child that recurs.  The memo
-holds MEMO_SIZE nodes, sized to the children's working set.  On an
-in-process cross_validate(e=2..5, n<=26), 17,508 top-level nodes have
-7,915 distinct children.  The table gives node computations there
-(children computed plus top-level nodes) and peak RSS, both for that sweep
-and for one 200-input round of bench/run.py's large-rank workload, against
-a 512-node memo that also held the top level (2-core x86-64 host,
-Python 3.11):
+them, and a parent's mu is read off its children, so it holds their
+cached beta-sets rather than fresh copies and costs the trace no field.
+The top-level node of mullineux_conjectural bypasses the memo: a sweep
+checks each partition once, so a top-level entry is never hit, and each
+one would push out a child that recurs.  The memo holds MEMO_SIZE nodes,
+sized to the children's working set.  On an in-process
+cross_validate(e=2..5, n<=26), 17,508 top-level nodes have 7,915 distinct
+children.  The table gives node computations there (children computed
+plus top-level nodes) and peak RSS, both for that sweep and for one
+200-input round of bench/run.py's large-rank workload, against a 512-node
+memo that also held the top level (2-core x86-64 host, Python 3.11):
 
     MEMO_SIZE              node computations  peak RSS, crossval  large-rank
     512, top level in it   50,052             17.2 MiB            21.3 MiB
@@ -102,7 +102,7 @@ from typing import NamedTuple
 
 from mullineux import betamaps
 from mullineux._core import kernels
-from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError
+from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError, check_modulus
 from mullineux.partitions import (
     Partition,
     beta_set,
@@ -180,8 +180,7 @@ def conjecture_tower(
     a stage that meets the shortcut is an inclusion, the shortcut, computed
     once per stage, also decides the inclusion flag there.
     """
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     x = tuple(x)
@@ -281,8 +280,7 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
     """Run check(lam, e, *params) on every (e, n) bucket and merge in (e, n) order."""
     if not e_list:
         raise ValueError("at least one modulus is required")
-    if min(e_list) < 2:
-        raise ValueError(f"modulus must be >= 2, got {min(e_list)}")
+    check_modulus(min(e_list))
     if len(set(e_list)) != len(e_list):
         raise ValueError(f"moduli must be distinct, got {list(e_list)}")
     if n_max < 0:
@@ -360,35 +358,23 @@ def sweep_conjecture(
 
 
 class MullineuxTrace(
-    namedtuple("MullineuxTrace", "modulus beta base_case image_beta mu_beta children nu_beta oracle_fallback")
+    namedtuple(
+        "MullineuxTrace",
+        "modulus beta base_case image_beta children nu_beta oracle_fallback",
+        defaults=((), None, False),
+    )
 ):
     """One level of the recursion: what was computed at this modulus.
 
     It stores what the recursion computes, beta-sets at minimal padding
-    (beta, image_beta, mu_beta, nu_beta), and decodes partition, image, mu
-    and nu on access.  The constructor takes partitions; the recursion
-    builds traces with of_beta_sets.  A named tuple keeps the fields
-    immutable and costs less to define at import than a frozen dataclass.
+    (beta, image_beta, nu_beta), and decodes partition, image and nu on
+    access.  mu, the pair the forward walk hands to the children, is read
+    off the children's beta-sets, so it exists exactly when there are
+    children.  A named tuple keeps the fields immutable and costs less to
+    define at import than a frozen dataclass.
     """
 
     __slots__ = ()
-
-    def __new__(cls, modulus, partition, base_case, image, mu=None, children=(), nu=None, oracle_fallback=False):
-        def pair(p):
-            return None if p is None else (_encode(p[0]), _encode(p[1]))
-
-        image_beta = None if image is None else _encode(image)
-        return cls.of_beta_sets(modulus, _encode(partition), base_case, image_beta, pair(mu), children, pair(nu), oracle_fallback)
-
-    @classmethod
-    def of_beta_sets(
-        cls, modulus, beta, base_case, image_beta, mu_beta=None, children=(), nu_beta=None, oracle_fallback=False
-    ) -> "MullineuxTrace":
-        return tuple.__new__(cls, (modulus, beta, base_case, image_beta, mu_beta, children, nu_beta, oracle_fallback))
-
-    def __reduce__(self):
-        # unpickle through of_beta_sets: the constructor would encode the beta-sets again
-        return type(self).of_beta_sets, tuple(self)
 
     @property
     def partition(self) -> Partition:
@@ -397,6 +383,10 @@ class MullineuxTrace(
     @property
     def image(self) -> Partition | None:
         return None if self.image_beta is None else partition_from_beta_set(self.image_beta)
+
+    @property
+    def mu_beta(self) -> BetaPair | None:
+        return (self.children[0].beta, self.children[1].beta) if self.children else None
 
     @property
     def mu(self) -> tuple[Partition, Partition] | None:
@@ -415,7 +405,7 @@ class MullineuxTrace(
         }
         if self.oracle_fallback:
             doc["oracle_fallback"] = True
-        if self.mu_beta is not None:
+        if self.children:
             doc["mu"] = [format_partition(p) for p in self.mu]
         if self.nu_beta is not None:
             doc["nu"] = [format_partition(p) for p in self.nu]
@@ -460,15 +450,15 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
             f"intermediate component {lam} is not {e}-regular",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace.of_beta_sets(e, x, False, None),
+            trace=MullineuxTrace(e, x, False, None),
         )
     if beta_set_is_e_core(x, e):
-        return MullineuxTrace.of_beta_sets(e, x, True, conjugate_beta_set(x))
+        return MullineuxTrace(e, x, True, conjugate_beta_set(x))
     if depth >= depth_limit:
         lam = partition_from_beta_set(x)
         if oracle_fallback:
             image = _encode(kernels.mullineux(lam, e))
-            return MullineuxTrace.of_beta_sets(e, x, False, image, oracle_fallback=True)
+            return MullineuxTrace(e, x, False, image, oracle_fallback=True)
         raise DepthExceededError(
             f"depth limit {depth_limit} reached at modulus {e} on {lam}",
             partition=lam,
@@ -483,14 +473,13 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
             f"isomorphism walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace.of_beta_sets(e, x, False, None),
+            trace=MullineuxTrace(e, x, False, None),
         ) from exc
     child1 = _conjectural(mu[0], 2 * e, depth + 1, depth_limit, oracle_fallback)
     child2 = _conjectural(mu[1], 2 * e, depth + 1, depth_limit, oracle_fallback)
+    # the trace reads mu off the children: a memo hit's beta-sets are the
+    # older, cached tuples, so the fresh copies in mu are let go
     children = (child1, child2)
-    # mu holds the children's beta-sets; a memo hit's are the older, cached
-    # tuples, so the trace keeps those and lets the fresh copies go
-    mu = child1.beta, child2.beta
     try:
         back = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (child1.image_beta, child2.image_beta), True)
     except ValueError as exc:
@@ -499,11 +488,11 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
             f"inverse walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace.of_beta_sets(e, x, False, None, mu, children),
+            trace=MullineuxTrace(e, x, False, None, children),
         ) from exc
     nu = minimal_beta_set(back[0]), minimal_beta_set(back[1])
     if nu[0] != nu[1]:
-        trace = MullineuxTrace.of_beta_sets(e, x, False, None, mu, children, nu)
+        trace = MullineuxTrace(e, x, False, None, children, nu)
         lam = partition_from_beta_set(x)
         raise ConjectureViolationError(
             f"pulled-back components disagree at modulus {e} on {lam}: {trace.nu[0]} != {trace.nu[1]}",
@@ -513,7 +502,7 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
         )
     # the components agree, so one tuple serves as both and as the image
     image = nu[0]
-    return MullineuxTrace.of_beta_sets(e, x, False, image, mu, children, (image, image))
+    return MullineuxTrace(e, x, False, image, children, (image, image))
 
 
 def mullineux_conjectural(
@@ -531,8 +520,7 @@ def mullineux_conjectural(
     the too-deep subcalls.  Raises PartitionTooLargeError above
     partitions.MAX_RANK.
     """
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     check_rank(lam)

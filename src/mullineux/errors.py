@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one modulus check."""
+
+
+def check_modulus(e: int) -> None:
+    """Raise ValueError unless e >= 2, the only moduli the package takes."""
+    if e < 2:
+        raise ValueError(f"modulus must be >= 2, got {e}")
 
 
 class NotRegularError(ValueError):

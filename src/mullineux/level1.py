@@ -34,27 +34,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mullineux._core import kernels
-from mullineux.errors import NotRegularError
+from mullineux.errors import NotRegularError, check_modulus
 from mullineux.partitions import Partition, check_rank, enumerate_e_regular
 
 def f_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Add the good addable j-node; None when the operator is undefined."""
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     return kernels.f_tilde(lam, j % e, e)
 
 
 def e_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Remove the good removable j-node; None when the operator is undefined."""
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     return kernels.e_tilde(lam, j % e, e)
 
 
 def replay_path(path: tuple[int, ...], e: int) -> Partition | None:
     """Replay f_tilde along a residue path from (), last entry applied first."""
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     return kernels.replay(tuple(j % e for j in reversed(path)), e)
 
 

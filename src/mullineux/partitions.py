@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Iterable, Iterator
 
-from mullineux.errors import PartitionTooLargeError
+from mullineux.errors import PartitionTooLargeError, check_modulus
 
 Partition = tuple[int, ...]
 
@@ -92,8 +92,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def is_e_regular(lam: Partition, e: int) -> bool:
     """True iff no positive part value occurs e or more times."""
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     run = 1
     for i in range(1, len(lam)):
         run = run + 1 if lam[i] == lam[i - 1] else 1
@@ -133,8 +132,7 @@ def partition_from_beta_set(bset: Iterable[int]) -> Partition:
 
 def is_e_core(lam: Partition, e: int) -> bool:
     """True iff no hook length of lam is divisible by e."""
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     return beta_set_is_e_core(beta_set(lam, max(1, len(lam))), e)
 
 
@@ -199,23 +197,13 @@ def beta_set_is_e_core(x: tuple[int, ...], e: int) -> bool:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, each exactly once, in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError(f"rank must be >= 0, got {n}")
-    if n == 0:
-        yield ()
-        return
+    """All partitions of n, each exactly once, in reverse-lexicographic order.
 
-    def gen(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from gen(remaining - p, p, prefix)
-            prefix.pop()
-
-    yield from gen(n, n, [])
+    No part of n can repeat n + 1 times, so these are the (n + 1)-regular
+    partitions of n, and enumerate_e_regular builds them; a negative n
+    raises ValueError when the iterator is first advanced, as there.
+    """
+    return enumerate_e_regular(n, max(2, n + 1))
 
 
 def enumerate_e_regular(n: int, e: int) -> Iterator[Partition]:
@@ -227,8 +215,7 @@ def enumerate_e_regular(n: int, e: int) -> Iterator[Partition]:
     values below p, each e-1 times, can still make up the rest, so every
     branch ends in a partition.
     """
-    if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+    check_modulus(e)
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {n}")
     prefix: list[int] = []

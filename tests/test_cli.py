@@ -1,6 +1,10 @@
 """CLI surface: wire formats, exit codes, document shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -460,6 +464,21 @@ def test_crystal_export_dot(capsys):
     assert '"-" -> "1" [label="0"];' in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_crystal_export_into_a_closed_pipe_exits_zero(fmt):
+    # at e = 3 and rank 22 the export (261 kB of JSON, 116 kB of DOT) is more
+    # than a pipe holds, so the reader goes away while it is still writing
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "mullineux.cli", "crystal-export", "--e", "3", "--max-n", "22", "--format", fmt]
+    with subprocess.Popen(argv, env=env, bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == (b"{" if fmt == "json" else b"d")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=30)
+    assert (code, err) == (0, b"")
+
+
 def test_unknown_command_exits_one(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
 
@@ -472,13 +491,14 @@ def test_mull_conjecture_violation_exits_three(capsys, monkeypatch):
     # no real counterexample is known, so fake one to pin the contract
     from mullineux.engine import MullineuxTrace
     from mullineux.errors import ConjectureViolationError
+    from mullineux.partitions import beta_set
 
     def explode(lam, e, depth_limit=16, oracle_fallback=False):
         raise ConjectureViolationError(
             "pulled-back components disagree",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace(e, lam, False, None),
+            trace=MullineuxTrace(e, beta_set(lam, max(1, len(lam))), False, None),
         )
 
     monkeypatch.setattr(cli.engine, "mullineux_conjectural", explode)

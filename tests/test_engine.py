@@ -307,16 +307,16 @@ def test_jobs_below_one_raise_before_any_bucket(monkeypatch):
 def test_trace_built_from_partitions_reads_like_the_recursion():
     _, trace = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
     rebuilt = engine.MullineuxTrace(
-        trace.modulus, trace.partition, trace.base_case, trace.image,
-        mu=trace.mu, children=trace.children, nu=trace.nu,
+        trace.modulus, trace.beta, trace.base_case, trace.image_beta,
+        children=trace.children, nu_beta=trace.nu_beta,
     )
     assert rebuilt == trace
     assert rebuilt.to_dict() == trace.to_dict()
     assert pickle.loads(pickle.dumps(trace)) == trace
-    bare = engine.MullineuxTrace(3, (3, 1), False, None)
+    bare = engine.MullineuxTrace(3, beta_set((3, 1), 2), False, None)
     assert (bare.partition, bare.image, bare.mu, bare.nu) == ((3, 1), None, None, None)
     assert bare.to_dict() == {"modulus": 3, "partition": "3,1", "base_case": False, "image": None}
-    empty = engine.MullineuxTrace(3, (), True, ())
+    empty = engine.MullineuxTrace(3, beta_set((), 1), True, beta_set((), 1))
     assert (empty.partition, empty.image) == ((), ())
 
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mullineux._core import kernels
-from mullineux.engine import conjecture_tower
+from mullineux.betamaps import psi_step, psi_step_inverse
+from mullineux.engine import conjecture_tower, mullineux_conjectural
 from mullineux.errors import NotRegularError
 from mullineux.level1 import (
     crystal_graph,
@@ -315,6 +316,18 @@ def test_modulus_below_two_is_refused():
                 replay_path((0,) * len(lam), e)
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 conjecture_tower(e, beta_set(lam, max(1, len(lam))), 3)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                is_e_regular(lam, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                is_e_core(lam, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                psi_step(e, beta_set(lam, 1), beta_set(lam, 1))
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                psi_step_inverse(e, beta_set(lam, 1), beta_set(lam, 1))
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                kernels.mullineux_symbol(lam, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                mullineux_conjectural(lam, e)
 
 
 # ---------------------------------------------------------------------------
