@@ -71,6 +71,10 @@ def _default_jobs() -> int:
         if jobs < 1:
             raise ValueError(f"MULLINEUX_JOBS must be >= 1, got {jobs}")
         return jobs
+    # the CPUs this process may run on, which taskset or a cpuset can make
+    # fewer than the host has
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -88,7 +88,9 @@ largest buckets do not end up in one worker's last chunk; only picklable
 data (the check, e, n, regular_only, params) crosses the Pool, and the
 enumerators and checks look up module globals at call time.  Buckets share
 no state, so reports are byte-identical regardless of the worker count.
-Each worker process has its own memo.
+Each worker process has its own memo.  The first sweep with more than one
+worker imports multiprocessing, so importing the package and running a
+serial sweep never load it.
 """
 
 from __future__ import annotations
@@ -96,8 +98,6 @@ from __future__ import annotations
 import functools
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import NamedTuple
 
 from mullineux import betamaps
@@ -210,21 +210,32 @@ def conjecture_tower(
 # sweep reports
 
 
-@dataclass
 class SweepReport:
     """Deterministic result of a sweep: counts, counterexamples, timings.
 
     Wall-clock timings are diagnostic only and are excluded from the
     canonical document so that reports compare byte-identical across runs
-    and worker counts.
+    and worker counts.  Each report gets its own counterexamples list and
+    timings dict unless the caller passes them.
     """
 
-    command: str
-    parameters: dict
-    checked: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    depth_exceeded: int | None = None
-    timings: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("command", "parameters", "checked", "counterexamples", "depth_exceeded", "timings")
+
+    def __init__(
+        self,
+        command: str,
+        parameters: dict,
+        checked: int = 0,
+        counterexamples: list[dict] | None = None,
+        depth_exceeded: int | None = None,
+        timings: dict[str, float] | None = None,
+    ):
+        self.command = command
+        self.parameters = parameters
+        self.checked = checked
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.depth_exceeded = depth_exceeded
+        self.timings = {} if timings is None else timings
 
     @property
     def verified(self) -> bool:
@@ -290,6 +301,8 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
     grid = [(e, n) for e in e_list for n in range(n_max + 1)]
     tasks = [(check, e, n, regular_only, params) for e, n in grid]
     if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import Pool
+
         # one bucket at a time, larger ranks first, so that no worker is left
         # holding a chunk of the largest buckets at the end
         order = sorted(range(len(tasks)), key=lambda i: grid[i][1], reverse=True)

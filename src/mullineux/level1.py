@@ -31,7 +31,7 @@ modulus of at least 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mullineux._core import kernels
 from mullineux.errors import NotRegularError, check_modulus
@@ -82,14 +82,14 @@ def mullineux_kleshchev(lam: Partition, e: int) -> Partition:
     return image
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     """Connected component of the empty partition, cut off at rank n_max.
 
     Vertices are the e-regular partitions of rank <= n_max; edges are the
     f_tilde moves between them, labelled by residue.  The vertex list runs
     through ranks 0..n_max in enumeration order; edges follow the vertex
-    order of their source, then the residue.
+    order of their source, then the residue.  A named tuple keeps the fields
+    immutable without loading dataclasses at import.
     """
 
     e: int

@@ -545,6 +545,17 @@ def test_jobs_default_from_environment(monkeypatch):
     assert cli._default_jobs() == 7
     monkeypatch.delenv("MULLINEUX_JOBS")
     assert cli._default_jobs() >= 1
+    # a process pinned to one CPU (taskset, a cpuset) gets one worker, not
+    # one per CPU of the host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._default_jobs() == 1
+    monkeypatch.setenv("MULLINEUX_JOBS", "3")
+    assert cli._default_jobs() == 3
+    # without an affinity call, the host's CPU count
+    monkeypatch.delenv("MULLINEUX_JOBS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._default_jobs() == 8
 
 
 def test_bad_jobs_environment_is_a_usage_error(capsys, monkeypatch):

@@ -1,13 +1,18 @@
 """Harness behavior: towers, sweeps, the recursive algorithm, reports."""
 
 import json
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from mullineux import engine
 from mullineux._core import kernels
 from mullineux.engine import (
+    SweepReport,
     TowerStep,
     TowerTrace,
     conjecture_tower,
@@ -249,6 +254,14 @@ def test_report_document_shape():
     assert list(doc) == ["schema_version", "command", "parameters", "checked", "status", "counterexamples"]
     timed = report.to_document(include_timing=True)
     assert "timing" in timed
+    # the defaults, and no list or dict shared between two reports
+    first = SweepReport(command="verify-conjecture", parameters={})
+    second = SweepReport(command="verify-conjecture", parameters={})
+    assert (first.checked, first.depth_exceeded, first.counterexamples, first.timings) == (0, None, [], {})
+    first.counterexamples.append({"e": 2, "partition": "1"})
+    first.timings["e=2,n=1"] = 0.5
+    assert (second.counterexamples, second.timings) == ([], {})
+    assert (first.status, second.status) == ("counterexample", "verified")
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +557,32 @@ def test_pool_gets_larger_ranks_first(monkeypatch):
     # depth_limit=1 puts counterexamples in many buckets, so a result merged
     # into the wrong bucket would reorder them
     serial = cross_validate([2, 3], 6, depth_limit=1)
-    monkeypatch.setattr(engine, "Pool", SerialPool)
+    # the sweep imports Pool from multiprocessing only when it needs workers
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     pooled = cross_validate([2, 3], 6, depth_limit=1, jobs=2)
     assert submitted == [(e, n) for n in range(6, -1, -1) for e in (2, 3)]
     assert pooled.depth_exceeded > 0
     assert pooled.to_document() == serial.to_document()
     assert list(pooled.timings) == list(serial.timings)
+
+
+def test_serial_runs_load_no_pool_or_dataclass_machinery():
+    # what a fresh interpreter has loaded after the package's serial paths,
+    # over what the same interpreter loads for `pass`
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+    loaded = "import sys; print(*sys.modules)"
+    program = (
+        "import mullineux, mullineux.cli\n"
+        "mullineux.engine.cross_validate([2, 3], 6, jobs=1)\n"
+    )
+
+    def modules(code):
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    added = modules(program + loaded) - modules(loaded)
+    assert "mullineux.engine" in added
+    assert {"multiprocessing", "dataclasses"}.isdisjoint(name.partition(".")[0] for name in added)
 
 
 def fail_on(monkeypatch, module, name, args, exc):

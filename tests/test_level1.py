@@ -5,6 +5,8 @@ the diagram definition, and the path machinery against known involution
 values, adjointness, and randomized stripping orders.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -458,6 +460,9 @@ def test_crystal_graph_pinned():
 
     g = crystal_graph(2, 3)
     assert set(g.vertices) == {(), (1,), (2,), (2, 1), (3,)}
+    with pytest.raises(AttributeError):
+        g.e = 3
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_crystal_graph_counts_and_reachability():
