@@ -8,8 +8,14 @@ functions up on this module at call time (kernels.psi_step(...)), so a
 wrapper installed on a module attribute sees every call.
 
 Conventions: partitions are tuples of weakly decreasing positive ints,
-beta-sets are strictly increasing tuples of nonnegative ints, residues are
-ints in 0..e-1, rows are 1-based, and the modulus is at least 2.
+beta-sets are int bitsets, bit b set iff b is a bead, residues are ints
+in 0..e-1, rows are 1-based, and the modulus is at least 2.  The bitset
+is the one form the engine computes beta-sets in: a step's shift,
+staircase, subset test and match are single big-int operations, and a
+memo key is one int.  The kernels take and return bitsets and check only
+the size contract; betamaps converts the tuple form of its public entry
+points at the boundary (partitions.beta_set_to_bits, which refuses a
+set that is not strictly increasing and nonnegative).
 Signature words read the diagram from the bottom row up, so the word
 starts at the largest row index.
 
@@ -23,7 +29,6 @@ strips e_j^max at a time and replays each negated string (-j, q) as
 f_{-j}^q, one scan per string instead of one per node.
 """
 
-from bisect import bisect_left, bisect_right
 from itertools import groupby
 
 from mullineux.errors import check_modulus
@@ -311,7 +316,17 @@ def psi_step(e, x1, x2):
     largest unmatched b <= a, falling back to the largest unmatched b.
     Returns (y1, y2) where y1 is the matched image and y2 collects x1 + e,
     the unmatched part of x2 shifted by e, and the staircase 0..e-1.
-    Both inputs must be strictly increasing.
+
+    One pass over the bits of x1, lowest first, with avail the unmatched
+    part of x2: a is the lowest bit low of what is left of x1, and the
+    match is the top bit of avail & ((low << 1) - 1), the unmatched b <= a.
+    That is a itself when a is still in avail, which is tested first, and
+    otherwise the top bit of avail & (low - 1).  The elements of x1 below
+    its lowest element outside x2 all take themselves, by the induction
+    below, so they leave both sets at once before the pass.
+    The matched image is what left avail, x2 ^ avail.  An a in x1 and x2
+    is matched by the end (to itself unless an earlier fallback took it),
+    so x1 and the unmatched rest are disjoint and y2 is one or.
 
     When x1 is a subset of x2 every a is matched to itself: by induction
     the elements of x1 below a took themselves, so a is still unmatched
@@ -319,29 +334,22 @@ def psi_step(e, x1, x2):
     staircase followed by x2 + e, with no matching to do; this covers every
     first stage of a tower, where x1 == x2.
     """
-    if len(x1) > len(x2):
+    if x1.bit_count() > x2.bit_count():
         raise ValueError("psi_step needs |x1| <= |x2|")
-    if set(x2).issuperset(x1):
-        return tuple(x1), (*range(e), *[b + e for b in x2])
-    avail = list(x2)
-    taken = [False] * len(avail)
-    y1 = []
-    for a in x1:
-        i = bisect_right(avail, a) - 1
-        while i >= 0 and taken[i]:
-            i -= 1
-        if i < 0:
-            i = len(avail) - 1
-            while taken[i]:
-                i -= 1
-        taken[i] = True
-        y1.append(avail[i])
-    y1.sort()
-    y2 = list(range(e))
-    y2 += [a + e for a in x1]
-    y2 += [b + e for i, b in enumerate(avail) if not taken[i]]
-    y2.sort()
-    return tuple(y1), tuple(y2)
+    staircase = (1 << e) - 1
+    outside = x1 & ~x2
+    if not outside:
+        return x1, (x2 << e) | staircase
+    done = x1 & ((outside & -outside) - 1)
+    avail, rest = x2 ^ done, x1 ^ done
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if avail & low:
+            avail ^= low
+        else:
+            avail ^= 1 << (((avail & (low - 1)) or avail).bit_length() - 1)
+    return x2 ^ avail, ((x1 | avail) << e) | staircase
 
 
 def psi_step_inverse(e, y1, y2):
@@ -349,33 +357,24 @@ def psi_step_inverse(e, y1, y2):
 
     Drops the staircase, shifts the rest of y2 down by e, then matches y1
     into it smallest element first, each a taking the smallest unmatched
-    b >= a with the smallest unmatched b as fallback.  Matches that do not
-    fall back strictly increase, so each search starts after the last one;
-    once an element falls back, no unmatched b is left above it, so every
-    later element falls back too, to the smallest unmatched entries in order.
+    b >= a with the smallest unmatched b as fallback.  On bits, with low
+    the lowest bit of what is left of y1, the unmatched b >= a are
+    avail & -low, whose lowest bit is the match.  Once an element falls
+    back, no unmatched b is left above it, so every later element falls
+    back too, to the smallest unmatched entries in order.  As going
+    forward, y1 and the unmatched rest are disjoint.
     """
-    if len(y1) > len(y2) - e:
+    if y1.bit_count() > y2.bit_count() - e:
         raise ValueError("psi_step_inverse needs |y1| <= |y2| - e")
-    avail = [y - e for y in y2[e:]]
-    n = len(avail)
-    taken = [False] * n
-    x1 = []
-    i = 0
-    for a in y1:
-        i = bisect_left(avail, a, i)
-        if i == n:
+    shifted = y2 >> e
+    avail, rest = shifted, y1
+    while rest:
+        low = rest & -rest
+        above = avail & -low
+        if not above:
             break
-        taken[i] = True
-        x1.append(avail[i])
-        i += 1
-    i = 0
-    for _ in range(len(y1) - len(x1)):
-        while taken[i]:
-            i += 1
-        taken[i] = True
-        x1.append(avail[i])
-    x1.sort()
-    x2 = list(y1)
-    x2 += [b for i, b in enumerate(avail) if not taken[i]]
-    x2.sort()
-    return tuple(x1), tuple(x2)
+        rest ^= low
+        avail ^= above & -above
+    for _ in range(rest.bit_count()):
+        avail &= avail - 1
+    return shifted ^ avail, y1 | avail

@@ -18,13 +18,22 @@ encoded at minimal padding, and the CLI passes it a list to collect
 every stage for rendering.  The walk carries the pair as beta-sets from
 stage to stage and never re-encodes it: a step's output is the next
 step's input at the same padding, and the inverse walk pads only when
-the next step needs a longer staircase.  The inverse walk reads the rank,
-the first part and the part counts it needs off the pair, so its input
-may come at any padding, and it starts at the highest stage the shortcut
-does not skip.  On beta-sets the shortcut is O(1): the largest element of
-the first set must lie in the staircase run 0, 1, ... that starts the
-second (shortcut_on_beta_sets).  Partitions are decoded only where one is
-needed, for the final image and for rendering.
+the next step needs a longer staircase.  The inverse walk reads the
+first part and the part counts it needs off the pair, so its input may
+come at any padding, and it starts at the highest stage the shortcut
+does not skip.  Partitions are decoded only where one is needed, for the
+final image and for rendering.
+
+The walks and the kernels hold a beta-set as an int bitset, bit b set
+iff b is a bead (see mullineux._core.kernels), so padding is a shift
+and an or, and the shortcut is a few big-int operations: the largest
+bead of the first set must lie in the staircase run 0, 1, ... that
+starts the second (shortcut_on_beta_sets).  The public entry points
+keep the tuple form: psi_step and psi_step_inverse take and return
+strictly increasing tuples, psi_bipartition* and psi_tilde* take and
+return bipartitions, and encode_bipartition and decode_bipartition work
+on tuple pairs.  Each converts at the boundary with pair_to_bits, which
+refuses a malformed set, and pair_from_bits or decode_bits.
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
 (commuting with the charged operators of the level-2 crystal, which the
@@ -36,13 +45,33 @@ from __future__ import annotations
 
 from mullineux._core import kernels
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError, check_modulus
-from mullineux.partitions import Partition, beta_set, minimal_beta_set, pad_beta_set, partition_from_beta_set
+from mullineux.partitions import (
+    Partition,
+    beta_set,
+    beta_set_from_bits,
+    beta_set_to_bits,
+    minimal_beta_set,
+    pad_beta_set,
+    partition_from_beta_set,
+)
 
 Bipartition = tuple[Partition, Partition]
 Bicharge = tuple[int, int]
 BetaPair = tuple[tuple[int, ...], tuple[int, ...]]
-# (stage bicharge, beta-set pair before the step, after it or None if skipped)
-Stage = tuple[Bicharge, BetaPair, BetaPair | None]
+BitPair = tuple[int, int]
+# (stage bicharge, bitset pair before the step, after it or None if skipped)
+Stage = tuple[Bicharge, BitPair, BitPair | None]
+
+
+def pair_to_bits(pair: BetaPair) -> BitPair:
+    """The bitsets of a pair of beta-sets; raises ValueError unless both
+    are strictly increasing nonnegative ints."""
+    return beta_set_to_bits(pair[0]), beta_set_to_bits(pair[1])
+
+
+def pair_from_bits(pair: BitPair) -> BetaPair:
+    """The tuple form of a pair of bitset beta-sets."""
+    return beta_set_from_bits(pair[0]), beta_set_from_bits(pair[1])
 
 
 def psi_step(e: int, x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -51,12 +80,14 @@ def psi_step(e: int, x1: tuple[int, ...], x2: tuple[int, ...]) -> tuple[tuple[in
     Each a in x1 (smallest first) is matched to the largest unmatched
     b <= a in x2, falling back to the largest unmatched element.  The
     matched image is y1; y2 is x1 + e, the unmatched rest of x2 + e, and
-    the staircase 0..e-1, so |y2| = |x2| + e.
+    the staircase 0..e-1, so |y2| = |x2| + e.  Both inputs must be strictly
+    increasing nonnegative ints (ValueError otherwise).
     """
     check_modulus(e)
-    if len(x1) > len(x2):
-        raise SizeOrderError(f"|x1| = {len(x1)} exceeds |x2| = {len(x2)}")
-    return kernels.psi_step(e, tuple(x1), tuple(x2))
+    b1, b2 = pair_to_bits((x1, x2))
+    if b1.bit_count() > b2.bit_count():
+        raise SizeOrderError(f"|x1| = {b1.bit_count()} exceeds |x2| = {b2.bit_count()}")
+    return pair_from_bits(kernels.psi_step(e, b1, b2))
 
 
 def psi_step_inverse(e: int, y1: tuple[int, ...], y2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -65,12 +96,15 @@ def psi_step_inverse(e: int, y1: tuple[int, ...], y2: tuple[int, ...]) -> tuple[
     The staircase is removed and the rest of y2 shifted down by e; each a
     in y1 (smallest first) is matched to the smallest unmatched b >= a,
     falling back to the smallest unmatched element.  The matched image is
-    x1, and x2 collects y1 and the unmatched rest.
+    x1, and x2 collects y1 and the unmatched rest.  Both inputs must be
+    strictly increasing nonnegative ints (ValueError otherwise).
     """
     check_modulus(e)
-    if tuple(y2[:e]) != tuple(range(e)):
+    b1, b2 = pair_to_bits((y1, y2))
+    staircase = (1 << e) - 1
+    if b2 & staircase != staircase:
         raise NotInImageError(f"y2 must contain the staircase 0..{e - 1}")
-    return kernels.psi_step_inverse(e, tuple(y1), tuple(y2))
+    return pair_from_bits(kernels.psi_step_inverse(e, b1, b2))
 
 
 def stable_shift(s: Bicharge, n: int, e: int) -> int:
@@ -101,6 +135,11 @@ def encode_bipartition(blam: Bipartition, s: Bicharge, m: int | None = None) -> 
 def decode_bipartition(pair: BetaPair) -> Bipartition:
     """The bipartition a beta-set pair encodes, at whatever bicharge and padding."""
     return partition_from_beta_set(pair[0]), partition_from_beta_set(pair[1])
+
+
+def decode_bits(pair: BitPair) -> Bipartition:
+    """The bipartition a bitset pair encodes, at whatever bicharge and padding."""
+    return decode_bipartition(pair_from_bits(pair))
 
 
 def psi_bipartition(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
@@ -144,30 +183,30 @@ def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
     return first - 1 + s[0] <= s[1] - h
 
 
-def shortcut_on_beta_sets(x1: tuple[int, ...], x2: tuple[int, ...], shift: int = 0) -> bool:
+def shortcut_on_beta_sets(x1: int, x2: int, shift: int = 0) -> bool:
     """shortcut_applies(blam, (s1, s2)) for blam encoded at bicharge (s1, s2 + shift).
 
-    The inequality says that the largest element of the first set, plus
+    The inequality says that the largest bead of the first set, plus
     shift, falls in the staircase run 0, 1, ... that starts the second set;
     the padding cancels from both sides, so any valid padding gives the
-    same answer.  The forward walk reads its pair at the stage (shift 0),
-    the inverse walk at the bicharge above it (shift e).
+    same answer.  x2 ^ (x2 + 1) is a mask one bit longer than that run.
+    An empty first set meets it.  The forward walk reads its pair at the
+    stage (shift 0), the inverse walk at the bicharge above it (shift e).
     """
-    i = x1[-1] + shift
-    return i < len(x2) and x2[i] == i
+    return (x2 ^ (x2 + 1)) >> (x1.bit_length() + shift) != 0
 
 
 def psi_tilde_beta_sets(
-    e: int, s: Bicharge, pair: BetaPair, inverse: bool = False, stages: list[Stage] | None = None
-) -> BetaPair:
-    """The stabilized isomorphism walk from a beta-set pair at bicharge s: the pair it ends on.
+    e: int, s: Bicharge, pair: BitPair, inverse: bool = False, stages: list[Stage] | None = None
+) -> BitPair:
+    """The stabilized isomorphism walk from a bitset pair at bicharge s: the pair it ends on.
 
-    This is psi_tilde (or psi_tilde_inverse) on beta-sets; the result's
-    padding is not fixed, and decode_bipartition reads it.  When stages is
-    a list, every stage is appended to it as (stage, before, after), where
-    stage is the bicharge the step is taken at, before and after are
-    beta-set pairs and after is None at a stage where the shortcut applies,
-    which is an identity.  The forward walk takes pair as the encoding of a
+    This is psi_tilde (or psi_tilde_inverse) on beta-sets held as int
+    bitsets; the result's padding is not fixed.  When stages is a list,
+    every stage is appended to it as (stage, before, after), where stage
+    is the bicharge the step is taken at, before and after are bitset
+    pairs and after is None at a stage where the shortcut applies, which
+    is an identity.  The forward walk takes pair as the encoding of a
     bipartition at s, at any padding, steps upward and ends with its first
     shortcut stage: from there on every step is the identity.  It always
     terminates because steps preserve the rank n, which bounds the first
@@ -181,11 +220,13 @@ def psi_tilde_beta_sets(
     the first stage top where it fails, so the stages above are inert
     without a test: they are recorded only when stages is a list, and the
     pair is padded once, to the minimal padding of stage top read at the
-    bicharge above it.  From there each stage is tested on the pair and
-    inverted for real where the shortcut fails, padding the pair first if
-    its second set lacks the staircase 0..e-1 the step removes.  With no
-    stage at all (n = 0) the walk ends on pair itself.  A modulus below 2
-    is refused at entry: at e = 0 the forward walk's charge gap never grows.
+    bicharge above it.  The first part and the part count that fix top are
+    at most n, so top is below stable_shift(s, n, e) without computing n,
+    which only a recorded walk needs.  From there each stage is tested on
+    the pair and inverted for real where the shortcut fails, padding the
+    pair first if its second set lacks the staircase 0..e-1 the step
+    removes.  A modulus below 2 is refused at entry: at e = 0 the forward
+    walk's charge gap never grows.
     """
     check_modulus(e)
     s1, s2 = s
@@ -202,38 +243,41 @@ def psi_tilde_beta_sets(
             stages.append(((s1, s2), pair, None))
         return pair
     a, b = minimal_beta_set(pair[0]), minimal_beta_set(pair[1])
-    n = sum(a) + sum(b) - (len(a) * (len(a) - 1) + len(b) * (len(b) - 1)) // 2
-    k = stable_shift(s, n, e)
-    if k == 0:
-        return pair
-    # at minimal padding only (0,), the empty partition, starts with 0
-    parts1, parts2 = len(a) if a[0] else 0, len(b) if b[0] else 0
+    # at minimal padding only 1, the empty partition's set (0,), has bead 0
+    parts1 = 0 if a & 1 else a.bit_count()
+    parts2 = 0 if b & 1 else b.bit_count()
     # shortcut_applies(blam, (s1, s2 + j*e)) fails exactly for j*e < gap,
-    # where a[-1] - len(a) + 1 is the first part of the first partition
-    gap = a[-1] - len(a) + 1 + parts2 + s1 - s2
-    top = max(-1, min(k - 1, (gap - 1) // e))
+    # where the top bead less the bead count, plus one, is the first part
+    # of the first partition
+    gap = a.bit_length() - a.bit_count() + parts2 + s1 - s2
+    top = max(-1, (gap - 1) // e)
     low = s2 + max(top, 0) * e
     m = max(1 - s1, parts1 - s1, parts2 - low)
     pair = pad_beta_set(a, m + s1), pad_beta_set(b, m + low + e)
     if stages is not None:
+        k = stable_shift(s, sum(map(sum, decode_bits(pair))), e)
         stages.extend(((s1, s2 + j * e), pair, None) for j in range(k - 1, top, -1))
+    staircase = (1 << e) - 1
     for j in range(top, -1, -1):
         if shortcut_on_beta_sets(pair[0], pair[1], e):
             if stages is not None:
                 stages.append(((s1, s2 + j * e), pair, None))
             continue
         y1, y2 = pair
-        if len(y2) < e or y2[e - 1] != e - 1:
-            run = 0
-            while run < len(y2) and y2[run] == run:
-                run += 1
-            pad = e - run
-            y1, y2 = pad_beta_set(y1, len(y1) + pad), pad_beta_set(y2, len(y2) + pad)
+        if y2 & staircase != staircase:
+            pad = e - (y2 ^ (y2 + 1)).bit_length() + 1  # e less the run 0, 1, ... y2 starts with
+            y1, y2 = pad_beta_set(y1, y1.bit_count() + pad), pad_beta_set(y2, y2.bit_count() + pad)
         nxt = kernels.psi_step_inverse(e, y1, y2)
         if stages is not None:
             stages.append(((s1, s2 + j * e), pair, nxt))
         pair = nxt
     return pair
+
+
+def _walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool) -> Bipartition:
+    """psi_tilde_beta_sets on blam encoded at minimal padding, decoded."""
+    pair = pair_to_bits(encode_bipartition(blam, s))
+    return decode_bits(psi_tilde_beta_sets(e, s, pair, inverse))
 
 
 def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
@@ -242,9 +286,9 @@ def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     On Uglov bipartitions of (e, s) this computes the stabilized
     isomorphism onto Kleshchev bipartitions.
     """
-    return decode_bipartition(psi_tilde_beta_sets(e, s, encode_bipartition(blam, s)))
+    return _walk(e, s, blam, False)
 
 
 def psi_tilde_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     """Inverse of psi_tilde: walk from the stabilized world down to s."""
-    return decode_bipartition(psi_tilde_beta_sets(e, s, encode_bipartition(blam, s), True))
+    return _walk(e, s, blam, True)

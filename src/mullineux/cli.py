@@ -210,8 +210,8 @@ def cmd_psi(args) -> int:
     blam = parse_bipartition(args.bipartition)
     if args.to_dominant:
         walked = []
-        pair = betamaps.encode_bipartition(blam, s)
-        decode = betamaps.decode_bipartition
+        pair = betamaps.pair_to_bits(betamaps.encode_bipartition(blam, s))
+        decode = betamaps.decode_bits
         image = decode(betamaps.psi_tilde_beta_sets(e, s, pair, args.inverse, walked))
         stages = [
             (stage, decode(before), None if after is None else decode(after))

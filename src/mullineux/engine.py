@@ -27,22 +27,27 @@ image of (lam, lam) at modulus 2e and bicharge (0, e), apply the modulus-2e
 involution to both components, pull back, and read the answer off the two
 components, which must agree.  Conjugation of e-cores is the base case.
 
-The recursion works on beta-sets at minimal padding, beta_set(lam,
+Both the towers and the recursion hold a beta-set as an int bitset, bit
+b set iff b is a bead (see mullineux._core.kernels).  The recursion works
+on beta-sets at minimal padding, the bitset of beta_set(lam,
 max(1, len(lam))), from end to end: a partition is encoded once on entry,
 the regularity and e-core tests and the base case's conjugation read the
-beta-set, the walks (betamaps.psi_tilde_beta_sets) take and return
-beta-set pairs, and the children get the forward walk's pair trimmed back
-to minimal padding.  A MullineuxTrace stores those beta-sets and decodes
-its partition fields only when they are read, for error text, to_dict and
-the top-level image.
+bitset, the walks (betamaps.psi_tilde_beta_sets) take and return bitset
+pairs, and the children get the forward walk's pair trimmed back to
+minimal padding.  A MullineuxTrace stores those bitsets and decodes its
+partition fields only when they are read, for error text, to_dict and
+the top-level image.  The sweeps decode only what a report prints: a
+tower failure's missing beads, and a mismatch's or an error's partitions.
+conjecture_tower keeps the tuple form for its callers and runs the
+bitset tower the sweep calls, _tower.
 
 The recursion revisits the same modulus-2e and modulus-4e subproblems many
 times, both within one partition's trace tree and across the partitions of
 a sweep, so each process keeps a bounded least-recently-used memo of
 recursion nodes below the top level.  It is keyed on everything a node's
 outcome and its error text depend on: the partition's beta-set at minimal
-padding (as long as the partition, and in one-to-one correspondence with
-it), the modulus, the depth (with depth_limit, the remaining depth budget),
+padding (one int, in one-to-one correspondence with the partition), the
+modulus, the depth (with depth_limit, the remaining depth budget),
 depth_limit and oracle_fallback.  It stores ConjectureViolationError and
 DepthExceededError outcomes as well as traces and raises them again on
 every hit, so a violation is never masked; a hit returns the very trace
@@ -56,24 +61,26 @@ sized to the children's working set.  On an in-process
 cross_validate(e=2..5, n<=26), 17,508 top-level nodes have 7,915 distinct
 children.  The table gives node computations there (children computed
 plus top-level nodes) and peak RSS, both for that sweep and for one
-200-input round of bench/run.py's large-rank workload, against a 512-node
-memo that also held the top level (2-core x86-64 host, Python 3.11):
+200-input round of bench/run.py's large-rank workload run in-process,
+against a 512-node memo that also held the top level (2-core x86-64
+host, Python 3.11, median of three processes; entries hold bitsets):
 
     MEMO_SIZE              node computations  peak RSS, crossval  large-rank
-    512, top level in it   50,052             17.2 MiB            21.3 MiB
-    512                    45,911             -0.1 MiB            +0.1 MiB
+    512, top level in it   50,052             15.1 MiB            19.3 MiB
+    512                    45,911             -0.0 MiB            +0.0 MiB
     1,024                  35,119             +0.3 MiB            +0.3 MiB
-    1,536                  28,684             +0.5 MiB            +0.8 MiB
-    2,048                  25,536             +0.8 MiB            +1.3 MiB
-    4,096                  25,423             +2.1 MiB            +3.0 MiB
+    1,536                  28,684             +0.5 MiB            +0.5 MiB
+    2,048                  25,536             +0.8 MiB            +0.7 MiB
+    4,096                  25,423             +1.7 MiB            +1.5 MiB
 
 4,096 nodes reach the floor, one computation per distinct node.  1,536
-nodes come within 13% of it for a quarter of the extra memory, and are
-the largest size that keeps bench/run.py's peak RSS within 5% of the
-512-node memo on both workloads: there 2,048 nodes added 5.3% on
-crossval-sweep (24.4 to 25.7 MiB), 1,536 added about 3%.  An unbounded
-memo also reaches the floor, but its memory grows with the sweep:
-+3.5 MiB on this one.
+nodes come within 13% of it for under a third of the extra memory, and
+were the largest size that kept bench/run.py's peak RSS within 5% of the
+512-node memo on both workloads even with tuple entries, which cost more
+(+0.8 MiB at 1,536 nodes): there 2,048 nodes added 5.3% on
+crossval-sweep (24.4 to 25.7 MiB), 1,536 about 3%.  An unbounded memo
+also reaches the floor, but its memory grows with the sweep: +2.5 MiB on
+this one.
 
 Both sweeps are one pipeline.  Each is only its parameters and a
 per-partition check, check(lam, e, *params), that returns a list of
@@ -105,9 +112,12 @@ from mullineux._core import kernels
 from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError, check_modulus
 from mullineux.partitions import (
     Partition,
+    beta_bits,
     beta_set,
+    beta_set_from_bits,
     beta_set_is_e_core,
     beta_set_is_e_regular,
+    beta_set_to_bits,
     check_rank,
     conjugate_beta_set,
     enumerate_e_regular,
@@ -120,13 +130,19 @@ from mullineux.partitions import (
 )
 from mullineux.schema import SCHEMA_VERSION
 
-Beta = tuple[int, ...]
-BetaPair = tuple[Beta, Beta]
+Bits = int
+BitPair = tuple[Bits, Bits]
 
 
-def _encode(lam: Partition) -> Beta:
-    """lam's beta-set at minimal padding, the form the recursion and the towers start from."""
-    return beta_set(lam, max(1, len(lam)))
+def _encode(lam: Partition) -> Bits:
+    """The bitset of lam's beta-set at minimal padding, the form the
+    recursion and the towers start from."""
+    return beta_bits(lam, max(1, len(lam)))
+
+
+def _partition(x: Bits) -> Partition:
+    """The partition a bitset beta-set encodes."""
+    return partition_from_beta_set(beta_set_from_bits(x))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +174,9 @@ def conjecture_tower(
 
     Stage k holds the pair after the step at charge gap k*e.  Inclusion at
     stage 1 is a proved fact and is asserted outright; inclusion at larger
-    odd stages is the conjecture and is only recorded.
+    odd stages is the conjecture and is only recorded.  x is a strictly
+    increasing tuple of nonnegative ints (ValueError otherwise), and the
+    steps hold tuples; the tower itself runs on bitsets (_tower).
 
     Each stage's inclusion flag decides how the next step is taken.  A step
     from a pair (x1, x2) with x1 inside x2 matches every a in x1 to itself
@@ -184,26 +202,36 @@ def conjecture_tower(
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     x = tuple(x)
-    x1, x2 = x, x
+    steps = tuple(
+        TowerStep(k, beta_set_from_bits(x1), beta_set_from_bits(x2), inclusion)
+        for k, x1, x2, inclusion in _tower(e, beta_set_to_bits(x), k_max, stop_at_shortcut)
+    )
+    return TowerTrace(e, x, steps)
+
+
+def _tower(e: int, x: Bits, k_max: int, stop_at_shortcut: bool) -> list[tuple[int, Bits, Bits, bool]]:
+    """conjecture_tower's stages on the bitset x, as (k, x1, x2, inclusion) rows."""
+    x1 = x2 = x
     inclusion = True  # (x, x) is one
-    staircase = range(e)
-    steps = []
+    staircase = (1 << e) - 1
+    rows = []
     for k in range(k_max + 1):
         if inclusion:
-            x2 = (*staircase, *[b + e for b in x2])
+            x2 = (x2 << e) | staircase
         else:
             x1, x2 = kernels.psi_step(e, x1, x2)
-        shortcut = not x1 or betamaps.shortcut_on_beta_sets(x1, x2)
-        inclusion = shortcut or set(x2).issuperset(x1)
+        # an empty x1 meets the shortcut too
+        shortcut = betamaps.shortcut_on_beta_sets(x1, x2)
+        inclusion = shortcut or x1 & x2 == x1
         if k == 1 and not inclusion:
             raise AssertionError(
-                f"inclusion failed at stage 1 for e={e}, x={x}; this case is proved, "
+                f"inclusion failed at stage 1 for e={e}, x={beta_set_from_bits(x)}; this case is proved, "
                 "so the step implementation is broken"
             )
-        steps.append(TowerStep(k, x1, x2, inclusion))
+        rows.append((k, x1, x2, inclusion))
         if stop_at_shortcut and shortcut:
             break
-    return TowerTrace(e, x, tuple(steps))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +354,20 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
 
 
 def _tower_failures(lam: Partition, e: int, k_max: int) -> list[dict]:
+    """Odd stages of lam's stopped tower that are not inclusions, with
+    lam's beta-set and the missing beads as lists for the report."""
     x = _encode(lam)
     return [
         {
             "e": e,
             "partition": format_partition(lam),
-            "beta_set": list(x),
-            "k": step.k,
-            "missing": sorted(set(step.x1) - set(step.x2)),
+            "beta_set": list(beta_set(lam, max(1, len(lam)))),
+            "k": k,
+            "missing": list(beta_set_from_bits(x1 & ~x2)),
         }
         # the flag goes positionally, so a stand-in taking only *args can replace the tower
-        for step in conjecture_tower(e, x, k_max, True).odd_failures()
+        for k, x1, x2, inclusion in _tower(e, x, k_max, True)
+        if k % 2 and not inclusion
     ]
 
 
@@ -380,34 +411,35 @@ class MullineuxTrace(
     """One level of the recursion: what was computed at this modulus.
 
     It stores what the recursion computes, beta-sets at minimal padding
-    (beta, image_beta, nu_beta), and decodes partition, image and nu on
-    access.  mu, the pair the forward walk hands to the children, is read
-    off the children's beta-sets, so it exists exactly when there are
-    children.  A named tuple keeps the fields immutable and costs less to
-    define at import than a frozen dataclass.
+    held as int bitsets (beta, image_beta, nu_beta), and decodes
+    partition, image, mu, nu and to_dict on access.  mu, the pair the
+    forward walk hands to the children, is read off the children's
+    beta-sets, so it exists exactly when there are children.  A named
+    tuple keeps the fields immutable and costs less to define at import
+    than a frozen dataclass.
     """
 
     __slots__ = ()
 
     @property
     def partition(self) -> Partition:
-        return partition_from_beta_set(self.beta)
+        return _partition(self.beta)
 
     @property
     def image(self) -> Partition | None:
-        return None if self.image_beta is None else partition_from_beta_set(self.image_beta)
+        return None if self.image_beta is None else _partition(self.image_beta)
 
     @property
-    def mu_beta(self) -> BetaPair | None:
+    def mu_beta(self) -> BitPair | None:
         return (self.children[0].beta, self.children[1].beta) if self.children else None
 
     @property
     def mu(self) -> tuple[Partition, Partition] | None:
-        return None if self.mu_beta is None else betamaps.decode_bipartition(self.mu_beta)
+        return None if self.mu_beta is None else betamaps.decode_bits(self.mu_beta)
 
     @property
     def nu(self) -> tuple[Partition, Partition] | None:
-        return None if self.nu_beta is None else betamaps.decode_bipartition(self.nu_beta)
+        return None if self.nu_beta is None else betamaps.decode_bits(self.nu_beta)
 
     def to_dict(self) -> dict:
         doc = {
@@ -430,7 +462,7 @@ class MullineuxTrace(
 MEMO_SIZE = 1536  # recursion nodes per process; see the module docstring
 
 
-def _conjectural(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
+def _conjectural(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     """One recursion node through the memo: its trace, or the error it raised."""
     outcome = _outcome(x, e, depth, depth_limit, oracle_fallback)
     if isinstance(outcome, MullineuxTrace):
@@ -440,25 +472,25 @@ def _conjectural(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _outcome(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
+def _outcome(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     try:
         return _node(x, e, depth, depth_limit, oracle_fallback)
     except (ConjectureViolationError, DepthExceededError) as exc:
         return exc
 
 
-def _diagonal_walk(e: int, s2: int, x: Beta) -> BetaPair:
+def _diagonal_walk(e: int, s2: int, x: Bits) -> BitPair:
     """psi_tilde(e, (0, s2), (lam, lam)) for lam = the partition x encodes,
-    as two beta-sets at minimal padding."""
-    y1, y2 = betamaps.psi_tilde_beta_sets(e, (0, s2), (x, pad_beta_set(x, len(x) + s2)))
+    as two bitsets at minimal padding."""
+    y1, y2 = betamaps.psi_tilde_beta_sets(e, (0, s2), (x, pad_beta_set(x, x.bit_count() + s2)))
     return minimal_beta_set(y1), minimal_beta_set(y2)
 
 
-def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
-    """The recursion at one node, on lam's beta-set x at minimal padding."""
+def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
+    """The recursion at one node, on the bitset x of lam's beta-set at minimal padding."""
     if not beta_set_is_e_regular(x, e):
         # only reachable below the top level; the top-level call pre-checks
-        lam = partition_from_beta_set(x)
+        lam = _partition(x)
         raise ConjectureViolationError(
             f"intermediate component {lam} is not {e}-regular",
             partition=lam,
@@ -468,7 +500,7 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     if beta_set_is_e_core(x, e):
         return MullineuxTrace(e, x, True, conjugate_beta_set(x))
     if depth >= depth_limit:
-        lam = partition_from_beta_set(x)
+        lam = _partition(x)
         if oracle_fallback:
             image = _encode(kernels.mullineux(lam, e))
             return MullineuxTrace(e, x, False, image, oracle_fallback=True)
@@ -481,7 +513,7 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     try:
         mu = _diagonal_walk(2 * e, e, x)
     except ValueError as exc:
-        lam = partition_from_beta_set(x)
+        lam = _partition(x)
         raise ConjectureViolationError(
             f"isomorphism walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
@@ -491,12 +523,12 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     child1 = _conjectural(mu[0], 2 * e, depth + 1, depth_limit, oracle_fallback)
     child2 = _conjectural(mu[1], 2 * e, depth + 1, depth_limit, oracle_fallback)
     # the trace reads mu off the children: a memo hit's beta-sets are the
-    # older, cached tuples, so the fresh copies in mu are let go
+    # older, cached ints, so the fresh copies in mu are let go
     children = (child1, child2)
     try:
         back = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (child1.image_beta, child2.image_beta), True)
     except ValueError as exc:
-        lam = partition_from_beta_set(x)
+        lam = _partition(x)
         raise ConjectureViolationError(
             f"inverse walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
@@ -506,14 +538,14 @@ def _node(x: Beta, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     nu = minimal_beta_set(back[0]), minimal_beta_set(back[1])
     if nu[0] != nu[1]:
         trace = MullineuxTrace(e, x, False, None, children, nu)
-        lam = partition_from_beta_set(x)
+        lam = _partition(x)
         raise ConjectureViolationError(
             f"pulled-back components disagree at modulus {e} on {lam}: {trace.nu[0]} != {trace.nu[1]}",
             partition=lam,
             modulus=e,
             trace=trace,
         )
-    # the components agree, so one tuple serves as both and as the image
+    # the components agree, so one int serves as both and as the image
     image = nu[0]
     return MullineuxTrace(e, x, False, image, children, (image, image))
 
@@ -557,7 +589,7 @@ def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
     Kleshchev's kernels.mullineux: both are proven and agree, and the symbol
     costs about one pass over the nodes instead of a scan of the rows per
     i-string.  An oracle error reaches _bucket, which records it as kind "error".
-    The walks are compared on beta-sets and decoded only for a mismatch.
+    The walks are compared on bitsets and decoded only for a mismatch.
     """
     name = format_partition(lam)
     failures = []
@@ -598,8 +630,8 @@ def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
                 "e": e,
                 "partition": name,
                 "kind": "isomorphism_mismatch",
-                "at_2e": [format_partition(p) for p in betamaps.decode_bipartition(double)],
-                "at_e": [format_partition(p) for p in betamaps.decode_bipartition(single)],
+                "at_2e": [format_partition(p) for p in betamaps.decode_bits(double)],
+                "at_e": [format_partition(p) for p in betamaps.decode_bits(single)],
             }
         )
     return failures

@@ -21,8 +21,11 @@ import mullineux
 from mullineux._core import kernels
 from mullineux.betamaps import (
     decode_bipartition,
+    decode_bits,
     encode_bipartition,
     minimal_padding,
+    pair_from_bits,
+    pair_to_bits,
     psi_bipartition,
     psi_bipartition_inverse,
     psi_step,
@@ -34,9 +37,11 @@ from mullineux.betamaps import (
     shortcut_on_beta_sets,
     stable_shift,
 )
+from mullineux.engine import conjecture_tower, mullineux_conjectural
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError
-from mullineux.partitions import beta_set, enumerate_bipartitions, enumerate_e_regular
+from mullineux.partitions import beta_set, enumerate_bipartitions, enumerate_e_regular, enumerate_partitions
 
+import beta_reference
 from conftest import beta_sets
 from crystal_reference import (
     f_tilde2,
@@ -111,7 +116,7 @@ def test_step_matches_matching_pairs_exhaustively():
             y1 = tuple(sorted(matched))
             for e in (2, 3, 4):
                 y2 = tuple(sorted({*range(e), *(a + e for a in x1), *(b + e for b in x2 if b not in matched)}))
-                assert kernels.psi_step(e, x1, x2) == (y1, y2), (e, x1, x2)
+                assert pair_from_bits(kernels.psi_step(e, *pair_to_bits((x1, x2)))) == (y1, y2), (e, x1, x2)
 
 
 def test_step_identity_branch():
@@ -126,9 +131,9 @@ def test_step_size_check():
         psi_step(3, (0, 1, 2), (0, 1))
     # the kernels check sizes too, for callers that skip the typed check
     with pytest.raises(ValueError):
-        kernels.psi_step(3, (0, 1), (5,))
+        kernels.psi_step(3, *pair_to_bits(((0, 1), (5,))))
     with pytest.raises(ValueError):
-        kernels.psi_step_inverse(2, (0, 1, 2), (0, 1, 4))
+        kernels.psi_step_inverse(2, *pair_to_bits(((0, 1, 2), (0, 1, 4))))
 
 
 def test_inverse_symbol_pinned():
@@ -149,6 +154,117 @@ def test_inverse_identity_branch():
 def test_inverse_staircase_check():
     with pytest.raises(NotInImageError):
         psi_step_inverse(3, (1,), (0, 1, 3, 7))
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (3, 1), (-1,)])
+def test_malformed_beta_sets_are_refused(bad):
+    # a bitset would merge a repeated element and place the others anywhere,
+    # so the tuple entry points refuse any set that is not strictly
+    # increasing and nonnegative
+    with pytest.raises(ValueError, match="strictly increasing nonnegative ints"):
+        conjecture_tower(2, bad, 3)
+    with pytest.raises(ValueError, match="strictly increasing nonnegative ints"):
+        psi_step(2, bad, (0, 3, 5))
+    with pytest.raises(ValueError, match="strictly increasing nonnegative ints"):
+        psi_step(2, (0,), bad)
+    with pytest.raises(ValueError, match="strictly increasing nonnegative ints"):
+        psi_step_inverse(2, bad, (0, 1, 3, 5, 7))
+    with pytest.raises(ValueError, match="strictly increasing nonnegative ints"):
+        psi_step_inverse(2, (1,), (0, 1, *(b + 2 for b in bad)))
+
+
+# ---------------------------------------------------------------------------
+# the bitset kernels against the tuple references
+
+
+def inverse_matching_pairs(y1, avail):
+    """The greedy injection behind the inverse step, as ordered (a, b) pairs:
+    each a in y1, smallest first, takes the smallest unmatched b >= a in
+    avail, falling back to the smallest unmatched element."""
+    remaining = list(avail)
+    pairs = []
+    for a in y1:
+        above = [b for b in remaining if b >= a]
+        b = min(above) if above else min(remaining)
+        remaining.remove(b)
+        pairs.append((a, b))
+    return pairs
+
+
+class Checked:
+    """Each kernel call checked against the tuple reference, with a count of
+    the calls whose matching falls back."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"psi_step": 0, "psi_step_inverse": 0}
+        self.fallbacks = {"psi_step": 0, "psi_step_inverse": 0}
+        for name in self.calls:
+            monkeypatch.setattr(kernels, name, self.wrap(name, getattr(kernels, name)))
+
+    def wrap(self, name, kernel):
+        reference = getattr(beta_reference, name)
+
+        def checked(e, x1, x2):
+            out = kernel(e, x1, x2)
+            self.check(name, e, pair_from_bits((x1, x2)), out, reference)
+            return out
+
+        return checked
+
+    def check(self, name, e, pair, out, reference):
+        assert pair_from_bits(out) == reference(e, *pair), (name, e, pair)
+        self.calls[name] += 1
+        if name == "psi_step":
+            fell_back = any(b > a for a, b in matching_pairs(*pair))
+        else:
+            fell_back = any(b < a for a, b in inverse_matching_pairs(pair[0], [y - e for y in pair[1][e:]]))
+        self.fallbacks[name] += fell_back
+
+
+def test_kernels_match_the_tuple_references_on_every_walk_and_tower_stage(monkeypatch):
+    checked = Checked(monkeypatch)
+    for e in (2, 3, 4, 5):
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                conjecture_tower(e, beta_set(lam, max(1, len(lam))), 9)
+            # the recursion walks forward and back at moduli 2e, 4e, ...
+            for lam in enumerate_e_regular(n, e):
+                mullineux_conjectural(lam, e)
+    for e, s in WALK_GRID:
+        for n in range(7):
+            for blam in enumerate_bipartitions(n):
+                psi_tilde(e, s, blam)
+                psi_tilde_inverse(e, s, blam)
+    assert all(checked.calls.values()), checked.calls
+    # both kernels fall back at some stage, so the fallback branches ran
+    assert all(checked.fallbacks.values()), checked.fallbacks
+
+
+def test_kernels_match_the_tuple_references_on_random_pairs(rng, monkeypatch):
+    checked = Checked(monkeypatch)
+    for _ in range(3000):
+        e = rng.randint(2, 9)
+        top = rng.choice((12, 60, 200))
+        x2 = sorted(rng.sample(range(top), rng.randint(1, min(top, 60))))
+        x1 = sorted(rng.sample(range(top), rng.randint(0, len(x2))))
+        checked.check("psi_step", e, (tuple(x1), tuple(x2)), kernels.psi_step(e, *pair_to_bits((x1, x2))),
+                      beta_reference.psi_step)
+        y2 = (*range(e), *(b + e for b in x2))
+        out = kernels.psi_step_inverse(e, *pair_to_bits((x1, y2)))
+        checked.check("psi_step_inverse", e, (tuple(x1), y2), out, beta_reference.psi_step_inverse)
+    assert all(checked.fallbacks.values()), checked.fallbacks
+
+
+def test_kernels_keep_the_size_contract():
+    # |x1| <= |x2| going forward and |y1| <= |y2| - e going back, at the edge
+    x1, x2 = pair_to_bits(((1, 4, 6), (0, 2, 3)))
+    assert kernels.psi_step(2, x1, x2)[0].bit_count() == 3
+    with pytest.raises(ValueError, match=r"psi_step needs \|x1\| <= \|x2\|"):
+        kernels.psi_step(2, x1 | 1 << 9, x2)
+    y1, y2 = pair_to_bits(((1, 4, 6), (0, 1, 3, 4, 8)))
+    assert kernels.psi_step_inverse(2, y1, y2)[0].bit_count() == 3
+    with pytest.raises(ValueError, match=r"psi_step_inverse needs \|y1\| <= \|y2\| - e"):
+        kernels.psi_step_inverse(2, y1 | 1 << 9, y2)
 
 
 @given(beta_sets(), beta_sets())
@@ -203,7 +319,8 @@ def test_step_inverse_matches_the_probing_loop_exhaustively():
             y2 = tuple(range(e)) + tuple(y + e for y in raw)
             for y1 in subsets:
                 if len(y1) <= len(raw):
-                    assert kernels.psi_step_inverse(e, y1, y2) == probing_step_inverse(e, y1, y2)
+                    got = pair_from_bits(kernels.psi_step_inverse(e, *pair_to_bits((y1, y2))))
+                    assert got == probing_step_inverse(e, y1, y2)
 
 
 @given(beta_sets(max_value=60, max_size=20), beta_sets(max_value=60, max_size=20), st.integers(1, 6))
@@ -211,7 +328,8 @@ def test_step_inverse_matches_the_probing_loop_exhaustively():
 def test_step_inverse_matches_the_probing_loop(a, b, e):
     y1, raw = (a, b) if len(a) <= len(b) else (b, a)
     y2 = tuple(range(e)) + tuple(y + e for y in raw)
-    assert kernels.psi_step_inverse(e, y1, y2) == probing_step_inverse(e, y1, y2)
+    got = pair_from_bits(kernels.psi_step_inverse(e, *pair_to_bits((y1, y2))))
+    assert got == probing_step_inverse(e, y1, y2)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +452,13 @@ def test_step_after_the_shortcut_is_an_inclusion_that_keeps_it(pair, e):
     # the lemma conjecture_tower(..., stop_at_shortcut=True) rests on, for the
     # kernel the tower runs
     x1, x2 = pair
-    assert len(x1) <= len(x2) and shortcut_on_beta_sets(x1, x2)
-    y1, y2 = kernels.psi_step(e, x1, x2)
+    b1, b2 = pair_to_bits(pair)
+    assert len(x1) <= len(x2) and shortcut_on_beta_sets(b1, b2)
+    c1, c2 = kernels.psi_step(e, b1, b2)
+    y1, y2 = pair_from_bits((c1, c2))
     assert y1 == x1
     assert y2 == tuple(range(e)) + tuple(b + e for b in x2)
-    assert shortcut_on_beta_sets(y1, y2)
+    assert shortcut_on_beta_sets(c1, c2)
     assert set(y1) <= set(y2)
 
 
@@ -354,8 +474,9 @@ def test_shortcut_on_beta_sets_matches_shortcut_applies():
                         up = (s1, s1 + gap + e)
                         m = minimal_padding(blam, s)
                         for pad in range(m, m + 4):
-                            assert shortcut_on_beta_sets(*encode_bipartition(blam, s, pad)) == expected
-                            y1, y2 = encode_bipartition(blam, up, pad)
+                            x1, x2 = pair_to_bits(encode_bipartition(blam, s, pad))
+                            assert shortcut_on_beta_sets(x1, x2) == expected
+                            y1, y2 = pair_to_bits(encode_bipartition(blam, up, pad))
                             assert shortcut_on_beta_sets(y1, y2, e) == expected
 
 
@@ -377,11 +498,11 @@ WALK_GRID = [(2, (0, 0)), (2, (-1, 2)), (3, (0, 1)), (4, (1, 1))]
 
 
 def decoded_walk(e, s, blam, inverse=False):
-    """The walk's recorded stages with both beta-set pairs decoded to bipartitions."""
+    """The walk's recorded stages with both bitset pairs decoded to bipartitions."""
     walked = []
-    psi_tilde_beta_sets(e, s, encode_bipartition(blam, s), inverse, walked)
+    psi_tilde_beta_sets(e, s, pair_to_bits(encode_bipartition(blam, s)), inverse, walked)
     return [
-        (stage, decode_bipartition(before), None if after is None else decode_bipartition(after))
+        (stage, decode_bits(before), None if after is None else decode_bits(after))
         for stage, before, after in walked
     ]
 
@@ -428,21 +549,21 @@ def test_pair_walks_match_the_bipartition_walks_at_any_padding():
             for blam in enumerate_bipartitions(n):
                 m = minimal_padding(blam, s)
                 for extra in (0, 1, e + 2):
-                    pair = encode_bipartition(blam, s, m + extra)
-                    assert decode_bipartition(psi_tilde_beta_sets(e, s, pair)) == psi_tilde(e, s, blam)
-                    loose = (
+                    pair = pair_to_bits(encode_bipartition(blam, s, m + extra))
+                    assert decode_bits(psi_tilde_beta_sets(e, s, pair)) == psi_tilde(e, s, blam)
+                    loose = pair_to_bits((
                         beta_set(blam[0], len(blam[0]) + extra),
                         beta_set(blam[1], max(1, len(blam[1])) + 2 * extra),
-                    )
+                    ))
                     back = psi_tilde_beta_sets(e, s, loose, inverse=True)
-                    assert decode_bipartition(back) == psi_tilde_inverse(e, s, blam), (e, s, blam, extra)
+                    assert decode_bits(back) == psi_tilde_inverse(e, s, blam), (e, s, blam, extra)
 
 
 def test_walk_checks_charge_order_on_call():
     for inverse in (False, True):
         stages = []
         with pytest.raises(ChargeOrderError):
-            psi_tilde_beta_sets(3, (1, 0), ((0,), (0,)), inverse, stages)
+            psi_tilde_beta_sets(3, (1, 0), (1, 1), inverse, stages)
         assert stages == []
 
 

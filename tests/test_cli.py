@@ -256,7 +256,7 @@ def test_sweep_error_exits_two(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("broken check")
 
-    monkeypatch.setattr(cli.engine, "conjecture_tower", broken)
+    monkeypatch.setattr(cli.engine, "_tower", broken)
     monkeypatch.setattr(cli.engine.kernels, "mullineux_symbol", broken)
     for command in ("verify-conjecture", "cross-validate"):
         code, out, _ = run_cli(capsys, command, "--e", "3", "--max-n", "1", "--jobs", "1")
@@ -491,14 +491,14 @@ def test_mull_conjecture_violation_exits_three(capsys, monkeypatch):
     # no real counterexample is known, so fake one to pin the contract
     from mullineux.engine import MullineuxTrace
     from mullineux.errors import ConjectureViolationError
-    from mullineux.partitions import beta_set
+    from mullineux.partitions import beta_bits
 
     def explode(lam, e, depth_limit=16, oracle_fallback=False):
         raise ConjectureViolationError(
             "pulled-back components disagree",
             partition=lam,
             modulus=e,
-            trace=MullineuxTrace(e, beta_set(lam, max(1, len(lam))), False, None),
+            trace=MullineuxTrace(e, beta_bits(lam, max(1, len(lam))), False, None),
         )
 
     monkeypatch.setattr(cli.engine, "mullineux_conjectural", explode)

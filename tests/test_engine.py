@@ -23,7 +23,9 @@ from mullineux.engine import (
 from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError
 from mullineux.level1 import mullineux_kleshchev
 from mullineux.partitions import (
+    beta_bits,
     beta_set,
+    beta_set_from_bits,
     conjugate,
     enumerate_e_regular,
     enumerate_partitions,
@@ -31,6 +33,8 @@ from mullineux.partitions import (
     is_e_regular,
     partition_from_beta_set,
 )
+
+import beta_reference
 
 X_STAR = (0, 3, 5, 6, 10, 12, 15, 18, 20)
 
@@ -113,12 +117,14 @@ def naive_tower(step, e, x, k_max, stop_at_shortcut):
 
 
 def test_fused_tower_matches_a_kernel_call_at_every_stage(monkeypatch):
-    step = kernels.psi_step
+    # the naive tower calls the tuple reference step, the fused one the bitset kernel
+    step = beta_reference.psi_step
+    kernel = kernels.psi_step
     calls = []
 
     def counted_step(e, x1, x2):
         calls.append(e)
-        return step(e, x1, x2)
+        return kernel(e, x1, x2)
 
     monkeypatch.setattr(kernels, "psi_step", counted_step)
     for e in (2, 3, 4, 5):
@@ -178,27 +184,27 @@ def test_sweep_jobs_deterministic():
 
 
 def flag_ignoring_tower(monkeypatch):
-    """Replace engine.conjecture_tower with one that always runs to k_max."""
-    tower = engine.conjecture_tower
+    """Replace the sweep's tower, engine._tower, with one that always runs to k_max."""
+    tower = engine._tower
 
     def full_tower(e, x, k_max, *flags):
-        return tower(e, x, k_max)
+        return tower(e, x, k_max, False)
 
-    monkeypatch.setattr(engine, "conjecture_tower", full_tower)
+    monkeypatch.setattr(engine, "_tower", full_tower)
 
 
 def test_stopped_towers_give_the_full_towers_document(monkeypatch):
     # work is counted in tower stages: past the shortcut every step is the
     # closed form, so kernel calls are the same for stopped and full towers
-    tower = engine.conjecture_tower
+    tower = engine._tower
     stages = []
 
     def counted_tower(*args):
-        trace = tower(*args)
-        stages.append(len(trace.steps))
-        return trace
+        rows = tower(*args)
+        stages.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(engine, "conjecture_tower", counted_tower)
+    monkeypatch.setattr(engine, "_tower", counted_tower)
     # the golden digests cover only the e-regular sweep
     stopped = sweep_conjecture([2, 3, 4, 5], 12, 9, regular_only=False).to_document()
     stopped_stages = sum(stages)
@@ -216,31 +222,31 @@ def test_stopped_towers_keep_odd_stage_failures(monkeypatch):
         y1, y2 = step(e, x1, x2)
         # without 0 in the second set the shortcut never holds; a new top
         # element keeps |y2| = |x2| + e, as the closed-form step does
-        y2 = y2[1:] + (y2[-1] + 1,)
-        k = (len(y2) - len(y1)) // e - 1  # each stage adds e elements
+        y2 = y2 & (y2 - 1) | 1 << y2.bit_length()
+        k = (y2.bit_count() - y1.bit_count()) // e - 1  # each stage adds e elements
         inferred.append(k)
-        if k >= 3 and k % 2 and y1[-1] in y2:
+        top = y1.bit_length() - 1
+        if k >= 3 and k % 2 and y2 >> top & 1:
             # odd stages past the proved one lose an element of the first set
-            y2 = tuple(b for b in y2 if b != y1[-1]) + (y2[-1] + 1,)
+            y2 = y2 ^ 1 << top | 1 << y2.bit_length()
         return y1, y2
 
     monkeypatch.setattr(kernels, "psi_step", broken_step)
-    tower = engine.conjecture_tower
+    tower = engine._tower
     towers = []
 
     def recorded_tower(*args):
         towers.append(tower(*args))
         return towers[-1]
 
-    monkeypatch.setattr(engine, "conjecture_tower", recorded_tower)
+    monkeypatch.setattr(engine, "_tower", recorded_tower)
     stopped = [sweep_conjecture([2, 3, 4, 5], 10, 7, jobs=1).to_document()]
     # the serial sweep calls the kernel exactly for the stages after a
-    # non-inclusion, in order, and the broken kernel reads each one's stage
-    true_stages = [
-        now.k for t in towers for before, now in zip(t.steps, t.steps[1:]) if not before.inclusion
-    ]
+    # non-inclusion, in order, and the broken kernel reads each one's stage;
+    # a row is (k, x1, x2, inclusion)
+    true_stages = [now[0] for t in towers for before, now in zip(t, t[1:]) if not before[3]]
     assert inferred == true_stages
-    monkeypatch.setattr(engine, "conjecture_tower", tower)
+    monkeypatch.setattr(engine, "_tower", tower)
     stopped.append(sweep_conjecture([2, 3, 4, 5], 10, 7, jobs=2).to_document())
     flag_ignoring_tower(monkeypatch)
     full = sweep_conjecture([2, 3, 4, 5], 10, 7).to_document()
@@ -326,10 +332,10 @@ def test_trace_built_from_partitions_reads_like_the_recursion():
     assert rebuilt == trace
     assert rebuilt.to_dict() == trace.to_dict()
     assert pickle.loads(pickle.dumps(trace)) == trace
-    bare = engine.MullineuxTrace(3, beta_set((3, 1), 2), False, None)
+    bare = engine.MullineuxTrace(3, beta_bits((3, 1), 2), False, None)
     assert (bare.partition, bare.image, bare.mu, bare.nu) == ((3, 1), None, None, None)
     assert bare.to_dict() == {"modulus": 3, "partition": "3,1", "base_case": False, "image": None}
-    empty = engine.MullineuxTrace(3, beta_set((), 1), True, beta_set((), 1))
+    empty = engine.MullineuxTrace(3, beta_bits((), 1), True, beta_bits((), 1))
     assert (empty.partition, empty.image) == ((), ())
 
 
@@ -421,7 +427,8 @@ def test_memo_keeps_raising_a_violation(cold_memo, monkeypatch):
         if not inverse:
             return nu
         # the second component gains a part 1
-        return nu[0], beta_set(partition_from_beta_set(nu[1]) + (1,), len(nu[1]) + 1)
+        lam = partition_from_beta_set(beta_set_from_bits(nu[1]))
+        return nu[0], beta_bits(lam + (1,), nu[1].bit_count() + 1)
 
     monkeypatch.setattr(engine.betamaps, "psi_tilde_beta_sets", disagreeing)
     seen = []
@@ -458,7 +465,7 @@ def test_trace_shares_the_tuples_it_repeats(cold_memo):
     for trace in (first, second):
         assert trace.nu_beta[0] is trace.nu_beta[1] is trace.image_beta
         assert all(trace.mu_beta[i] is trace.children[i].beta for i in (0, 1))
-    # on the memo hits, the cached children's tuples, not fresh copies
+    # on the memo hits, the cached children's sets, not fresh copies
     assert all(second.mu_beta[i] is first.mu_beta[i] for i in (0, 1))
 
 
@@ -472,7 +479,7 @@ def test_deep_walks_stay_short(cold_memo, monkeypatch):
         kernel = getattr(kernels, name)
 
         def recorded(e, x1, x2, name=name, kernel=kernel):
-            longest[name] = max(longest[name], len(x2))
+            longest[name] = max(longest[name], x2.bit_count())
             return kernel(e, x1, x2)
 
         monkeypatch.setattr(kernels, name, recorded)
@@ -602,8 +609,8 @@ def fail_on(monkeypatch, module, name, args, exc):
     [
         (
             lambda jobs: sweep_conjecture([2, 3], 7, 5, jobs=jobs),
-            (engine, "conjecture_tower"),
-            (3, beta_set((3, 1), 2)),
+            (engine, "_tower"),
+            (3, beta_bits((3, 1), 2)),
             AssertionError("stage 1 failed"),
         ),
         (

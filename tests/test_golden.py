@@ -7,8 +7,10 @@ output on purpose must say so and pin the new digest, which
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.main()"
 
-prints.  The digests were recorded from the partition-level walks and the
-unmemoized recursion, before the walks moved onto beta-sets.
+prints.  The first three digests were recorded from the partition-level
+walks and the unmemoized recursion, before the walks moved onto beta-sets;
+deep_documents was recorded from tuple beta-sets, before the engine held
+them as int bitsets.
 """
 
 import contextlib
@@ -59,12 +61,31 @@ def mull_traces():
     yield ["mull", "--method", "both", "--e", "3", "--lambda", "6,5,2,2,1,1", "--trace"]
 
 
-GROUPS = {"sweeps": sweeps, "psi_walks": psi_walks, "mull_traces": mull_traces}
+def deep_documents():
+    # documents the other groups leave out: a sweep of 333 depth_exceeded
+    # counterexamples, whose text is decoded from the recursion's sets, the
+    # towers of every partition, e-regular or not, and a trace seven levels
+    # deep of a rank-300 partition
+    yield ["cross-validate", "--e", E_LIST, "--max-n", "12", "--depth-limit", "1"]
+    yield ["verify-conjecture", "--all-partitions", "--e", "2,3", "--max-n", "12", "--max-k", "9"]
+    yield [
+        "mull", "--method", "both", "--trace", "--e", "2",
+        "--lambda", "40,35,33,30,28,25,22,20,17,15,12,10,7,5,1",
+    ]
+
+
+GROUPS = {
+    "sweeps": sweeps,
+    "psi_walks": psi_walks,
+    "mull_traces": mull_traces,
+    "deep_documents": deep_documents,
+}
 
 DIGESTS = {
     "sweeps": "78b89171ae78033a49be5a27cec8389b95be583a8d45f7c0ac4e1813c3e1ad7e",
     "psi_walks": "e956b88746bb1d7648b8c476c0c2bef9265e4bb6b1689a087686f8f6470cf764",
     "mull_traces": "d643fbeb5fc7ddf237babf47b3a953faf719b7f1d8198a5d24ad4f2593834d87",
+    "deep_documents": "c099b3990a3528622a59a8be927dd84c98c1b835dfa28a479590b90eaddf2ac9",
 }
 
 

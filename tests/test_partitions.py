@@ -16,9 +16,12 @@ from mullineux.level1 import mullineux_kleshchev
 from mullineux.partitions import (
     MAX_RANK,
     as_partition,
+    beta_bits,
     beta_set,
+    beta_set_from_bits,
     beta_set_is_e_core,
     beta_set_is_e_regular,
+    beta_set_to_bits,
     conjugate,
     conjugate_beta_set,
     enumerate_bipartitions,
@@ -33,6 +36,7 @@ from mullineux.partitions import (
     partition_from_beta_set,
 )
 
+import beta_reference
 from conftest import partitions
 
 # ---------------------------------------------------------------------------
@@ -226,27 +230,56 @@ def cell_by_cell_conjugate(lam):
 
 def test_beta_set_checks_match_the_partition_checks():
     for lam in partitions_up_to(20):
-        minimal = beta_set(lam, max(1, len(lam)))
+        minimal = beta_bits(lam, max(1, len(lam)))
         for e in range(2, 8):
             # a padded set starts with a staircase run longer than e
-            for x in (minimal, beta_set(lam, len(lam) + e + 1)):
+            for x in (minimal, beta_bits(lam, len(lam) + e + 1)):
                 assert beta_set_is_e_regular(x, e) == is_e_regular(lam, e), (lam, e, x)
                 assert beta_set_is_e_core(x, e) == is_e_core(lam, e), (lam, e, x)
 
 
+def test_bitset_helpers_match_the_tuple_references():
+    # every partition of rank <= 20, at minimal length and padded past a
+    # staircase run of e, against the tuple helpers the package ran before
+    for lam in partitions_up_to(20):
+        minimal = beta_set(lam, max(1, len(lam)))
+        for e in range(2, 8):
+            for x in (minimal, beta_set(lam, len(lam) + e + 1)):
+                bits = beta_set_to_bits(x)
+                assert beta_set_from_bits(bits) == x
+                assert bits == beta_bits(lam, len(x))
+                assert beta_set_is_e_regular(bits, e) == beta_reference.beta_set_is_e_regular(x, e)
+                assert beta_set_is_e_core(bits, e) == beta_reference.beta_set_is_e_core(x, e)
+                trimmed = beta_reference.minimal_beta_set(x)
+                assert beta_set_from_bits(minimal_beta_set(bits)) == trimmed, (lam, e, x)
+                assert beta_set_from_bits(conjugate_beta_set(bits)) == beta_reference.conjugate_beta_set(x)
+                for length in (len(x), len(x) + e):
+                    padded = beta_reference.pad_beta_set(x, length)
+                    assert beta_set_from_bits(pad_beta_set(bits, length)) == padded, (lam, x, length)
+
+
+def test_bitset_encoder_refuses_malformed_sets():
+    assert beta_set_to_bits(()) == 0 and beta_set_from_bits(0) == ()
+    assert beta_set_to_bits([0, 2, 5]) == 0b100101
+    for bad in ((1, 1), (3, 1), (-1,), (0, 2, 2, 4), (0.5,)):
+        with pytest.raises(ValueError, match="strictly increasing nonnegative ints"):
+            beta_set_to_bits(bad)
+
+
 def test_trim_and_pad_round_trip():
     for lam in partitions_up_to(14):
-        minimal = beta_set(lam, max(1, len(lam)))
+        minimal = beta_bits(lam, max(1, len(lam)))
         for extra in range(6):
-            x = beta_set(lam, len(lam) + extra) if lam or extra else (0,)
+            x = beta_bits(lam, len(lam) + extra) if lam or extra else 1
             assert minimal_beta_set(x) == minimal, (lam, extra)
-            assert pad_beta_set(minimal, len(x)) == x, (lam, extra)
-            assert partition_from_beta_set(pad_beta_set(minimal, len(x) + 3)) == lam
+            assert pad_beta_set(minimal, x.bit_count()) == x, (lam, extra)
+            padded = pad_beta_set(minimal, x.bit_count() + 3)
+            assert partition_from_beta_set(beta_set_from_bits(padded)) == lam
         if lam:
             assert minimal_beta_set(minimal) is minimal  # already minimal: no copy
         with pytest.raises(ValueError):
-            pad_beta_set(minimal, len(minimal) - 1)
-    assert minimal_beta_set(()) == (0,)
+            pad_beta_set(minimal, minimal.bit_count() - 1)
+    assert minimal_beta_set(0) == 1
 
 
 def test_conjugate_matches_the_cell_by_cell_definition():
@@ -254,7 +287,7 @@ def test_conjugate_matches_the_cell_by_cell_definition():
     assert sum(staircase) == 9870
     for lam in partitions_up_to(20) + [staircase]:
         assert conjugate(lam) == cell_by_cell_conjugate(lam), lam
-        assert conjugate_beta_set(beta_set(lam, max(1, len(lam)))) == beta_set(
+        assert conjugate_beta_set(beta_bits(lam, max(1, len(lam)))) == beta_bits(
             conjugate(lam), max(1, lam[0] if lam else 0)
         ), lam
     assert conjugate(staircase) == staircase
