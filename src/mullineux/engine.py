@@ -83,11 +83,13 @@ also reaches the floor, but its memory grows with the sweep: +2.5 MiB on
 this one.
 
 Both sweeps are one pipeline.  Each is only its parameters and a
-per-partition check, check(lam, e, *params), that returns a list of
+per-partition check, check(lam, x, e, *params), that returns a list of
 failure dicts.  _sweep validates the arguments, builds the (e, n) grid,
 runs _bucket on every bucket and merges checked, counterexamples and
 timings (labelled "e={e},n={n}") in (e, n) order.  _bucket is the only
-loop over a bucket's partitions.  An exception a check raises is data, not
+loop over a bucket's partitions; partitions.enumerate_e_regular_bits
+hands it each lam with x, its bitset at minimal padding, which the
+checks start from.  An exception a check raises is data, not
 an abort: it becomes a counterexample of kind "error" carrying the
 partition and the exception, and the sweep goes on.  With more than one
 worker the buckets go to the Pool one at a time, larger ranks first, so the
@@ -120,13 +122,14 @@ from mullineux.partitions import (
     beta_set_to_bits,
     check_rank,
     conjugate_beta_set,
-    enumerate_e_regular,
-    enumerate_partitions,
+    enumerate_e_regular,  # unused here; bench/layers.py wraps it on this module
+    enumerate_e_regular_bits,
     format_partition,
     is_e_regular,
     minimal_beta_set,
     pad_beta_set,
     partition_from_beta_set,
+    unrestricted_modulus,
 )
 from mullineux.schema import SCHEMA_VERSION
 
@@ -299,10 +302,10 @@ def _bucket(task):
     check, e, n, regular_only, params = task
     start = time.perf_counter()
     checked, failures = 0, []
-    for lam in enumerate_e_regular(n, e) if regular_only else enumerate_partitions(n):
+    for lam, x in enumerate_e_regular_bits(n, e if regular_only else unrestricted_modulus(n)):
         checked += 1
         try:
-            failures.extend(check(lam, e, *params))
+            failures.extend(check(lam, x, e, *params))
         except Exception as exc:
             failures.append(
                 {
@@ -316,7 +319,7 @@ def _bucket(task):
 
 
 def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs) -> SweepReport:
-    """Run check(lam, e, *params) on every (e, n) bucket and merge in (e, n) order."""
+    """Run check(lam, x, e, *params) on every (e, n) bucket and merge in (e, n) order."""
     if not e_list:
         raise ValueError("at least one modulus is required")
     check_modulus(min(e_list))
@@ -353,10 +356,9 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
 # conjecture sweep
 
 
-def _tower_failures(lam: Partition, e: int, k_max: int) -> list[dict]:
-    """Odd stages of lam's stopped tower that are not inclusions, with
-    lam's beta-set and the missing beads as lists for the report."""
-    x = _encode(lam)
+def _tower_failures(lam: Partition, x: Bits, e: int, k_max: int) -> list[dict]:
+    """Odd stages of lam's stopped tower from its bitset x that are not
+    inclusions, with lam's beta-set and the missing beads as lists."""
     return [
         {
             "e": e,
@@ -581,9 +583,10 @@ def mullineux_conjectural(
 # cross-validation sweep
 
 
-def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
-    """Failure dicts for lam: the recursion against a proven oracle, and the
-    stabilized walks of (lam, lam) at moduli 2e and e against each other.
+def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> list[dict]:
+    """Failure dicts for lam, with bitset x: the recursion against a proven
+    oracle, and the stabilized walks of (lam, lam) at moduli 2e and e
+    against each other.
 
     The oracle is Mullineux's e-rim symbol, kernels.mullineux_symbol, not
     Kleshchev's kernels.mullineux: both are proven and agree, and the symbol
@@ -619,9 +622,8 @@ def _crossval_failures(lam: Partition, e: int, depth_limit: int) -> list[dict]:
         )
     except DepthExceededError as exc:
         failures.append({"e": e, "partition": name, "kind": "depth_exceeded", "detail": str(exc)})
-    # the recursion encoded lam and, except at an e-core or when it raised,
-    # already walked (lam, lam) at modulus 2e
-    x = _encode(lam) if trace is None else trace.beta
+    # except at an e-core or when it raised, the recursion already walked
+    # (lam, lam) at modulus 2e
     double = _diagonal_walk(2 * e, e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
     single = _diagonal_walk(e, 0, x)
     if double != single:

@@ -13,10 +13,14 @@ beta_set_from_bits convert between the two forms, and the helpers the
 recursion uses (pad_beta_set, minimal_beta_set, conjugate_beta_set,
 beta_set_is_e_regular, beta_set_is_e_core) take bitsets, so that
 padding, trimming and both tests are a few shifts and masks.
+
+One enumerator, enumerate_e_regular_bits, builds the partitions in one
+frame and carries their bitsets; the other enumerators read it.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator
 
 from mullineux.errors import PartitionTooLargeError, check_modulus
@@ -243,51 +247,91 @@ def beta_set_is_e_core(x: int, e: int) -> bool:
     return not (x >> e) & ~x
 
 
+def unrestricted_modulus(n: int) -> int:
+    """A modulus at which every partition of n is e-regular."""
+    # no part of n can repeat n + 1 times
+    return max(2, n + 1)
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, each exactly once, in reverse-lexicographic order.
 
-    No part of n can repeat n + 1 times, so these are the (n + 1)-regular
-    partitions of n, and enumerate_e_regular builds them; a negative n
-    raises ValueError when the iterator is first advanced, as there.
+    No part of n can repeat n + 1 times, so these are the e-regular
+    partitions of n at unrestricted_modulus(n), and enumerate_e_regular
+    builds them; a negative n raises ValueError when the iterator is first
+    advanced, as there.
     """
-    return enumerate_e_regular(n, max(2, n + 1))
+    return enumerate_e_regular(n, unrestricted_modulus(n))
 
 
 def enumerate_e_regular(n: int, e: int) -> Iterator[Partition]:
-    """Partitions of n with no part repeated e or more times, reverse-lex order.
+    """Partitions of n with no part repeated e or more times, reverse-lex
+    order: those of enumerate_e_regular_bits, built in one frame, without
+    the bitsets it carries."""
+    return (lam for lam, _ in enumerate_e_regular_bits(n, e))
 
-    Built directly, never by filtering: each step picks the next part value
-    p below the last one and how often it repeats, at most e-1 times, more
-    copies first, which is reverse-lex order.  A choice is taken only if the
-    values below p, each e-1 times, can still make up the rest, so every
-    branch ends in a partition.
-    """
+
+def enumerate_e_regular_bits(n: int, e: int) -> Iterator[tuple[Partition, int]]:
+    """(lam, x) for the partitions lam of n with no part repeated e or more
+    times, in reverse-lex order, x = beta_bits(lam, max(1, len(lam))); one
+    generator frame builds them and carries the bitsets."""
+    # Built directly, never by filtering.  A partition is a stack of blocks,
+    # m copies of a part p, each below the last, with 1 <= m <= e - 1.
+    # Filling picks the largest p the rest allows and as many copies as fit,
+    # which is reverse-lex order.  The next partition pops the last block and
+    # takes that position's next choice, one copy fewer or else the part
+    # p - 1 as often as fits, popping further while a position has none, and
+    # fills the rest.  A choice is taken only if the values below p, each
+    # e - 1 times, can still make up the rest, so every fill ends in a
+    # partition: the first choice a fill makes always passes.
+    #
+    # The bitset is carried along.  At length n, m copies of p after i parts
+    # are the run of m beads ending at bead p + n - i - 1, and the zero parts
+    # are the staircase below bead n - len(lam); y holds the runs, so x is
+    # y >> (n - len(lam)).  (This is a comment, not docstring text, which
+    # every process that imports the package would hold in memory.)
     check_modulus(e)
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {n}")
-    prefix: list[int] = []
-
-    def gen(remaining: int, cap: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(prefix)
+    if n == 0:
+        yield (), 1
+        return
+    top = e - 1  # the most copies of a part
+    parts: list[int] = []
+    blocks: list[tuple[int, int, int, int]] = []  # (p, m, rest before, y before)
+    p, m, rest, y = n, 1, n, 0
+    while True:
+        # place m copies of p, then fill the rest greedily
+        blocks.append((p, m, rest, y))
+        y |= ((1 << m) - 1) << (p + n - len(parts) - m)
+        parts += [p] * m
+        rest -= m * p
+        if rest:
+            p = p - 1 if p <= rest else rest
+            m = rest // p
+            if m > top:
+                m = top
+            continue
+        yield tuple(parts), y >> (n - len(parts))
+        # the next choice at the deepest position that has one
+        while blocks:
+            p, m, rest, y = blocks.pop()
+            del parts[-m:]
+            if m > 1 and top * (p - 1) * p // 2 >= rest - (m - 1) * p:
+                m -= 1
+                break
+            p -= 1
+            if p and top * p * (p + 1) // 2 >= rest:
+                m = rest // p
+                if m > top:
+                    m = top
+                break
+        else:
             return
-        for p in range(min(cap, remaining), 0, -1):
-            if (e - 1) * p * (p + 1) // 2 < remaining:
-                return  # parts <= p, each e-1 times, fall short
-            for m in range(min(e - 1, remaining // p), 0, -1):
-                rest = remaining - m * p
-                if (e - 1) * (p - 1) * p // 2 < rest:
-                    break
-                prefix.extend([p] * m)
-                yield from gen(rest, p - 1)
-                del prefix[-m:]
-
-    yield from gen(n, n)
 
 
 def enumerate_bipartitions(n: int) -> Iterator[tuple[Partition, Partition]]:
     """All pairs of partitions with total rank n, in (|first| desc, rev-lex) order."""
+    # product enumerates each split's second partitions once, not once per first
     for a in range(n, -1, -1):
-        for lam1 in enumerate_partitions(a):
-            for lam2 in enumerate_partitions(n - a):
-                yield (lam1, lam2)
+        yield from product(enumerate_partitions(a), enumerate_partitions(n - a))

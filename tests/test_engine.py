@@ -35,6 +35,7 @@ from mullineux.partitions import (
 )
 
 import beta_reference
+import enumerate_reference
 
 X_STAR = (0, 3, 5, 6, 10, 12, 15, 18, 20)
 
@@ -533,6 +534,31 @@ def test_cross_validate_counts_depth_exceeded():
 
 # ---------------------------------------------------------------------------
 # the sweep pipeline
+
+
+@pytest.mark.parametrize(
+    "regular_only, counts", [(True, [70, 145, 193, 223]), (False, [272] * 4)], ids=["e-regular", "all"]
+)
+def test_bucket_hands_each_check_its_bitset(regular_only, counts):
+    seen = []
+
+    def record(lam, x, e):
+        seen.append((e, lam, x))
+        return []
+
+    report = engine._sweep("record", {}, record, (), [2, 3, 4, 5], 12, regular_only, 1)
+    assert report.checked == sum(counts) == len(seen)
+    for e, count in zip((2, 3, 4, 5), counts):
+        # at modulus n + 2 no part of n is restricted
+        expected = [
+            lam
+            for n in range(13)
+            for lam in enumerate_reference.enumerate_e_regular(n, e if regular_only else n + 2)
+        ]
+        assert [lam for f, lam, _ in seen if f == e] == expected
+        assert len(expected) == count
+    for e, lam, x in seen:
+        assert x == beta_bits(lam, max(1, len(lam))), (e, lam)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

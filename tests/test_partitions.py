@@ -1,7 +1,9 @@
 """Partition combinatorics against independent oracles.
 
 The e-core test is checked against explicit hook lengths, and the
-enumerators against a separately written generator and a DP count.
+enumerators against a separately written generator, the recursive
+enumerator the package ran before (tests/enumerate_reference.py) and a DP
+count.
 """
 
 from functools import lru_cache
@@ -26,6 +28,7 @@ from mullineux.partitions import (
     conjugate_beta_set,
     enumerate_bipartitions,
     enumerate_e_regular,
+    enumerate_e_regular_bits,
     enumerate_partitions,
     is_e_core,
     is_e_regular,
@@ -37,6 +40,7 @@ from mullineux.partitions import (
 )
 
 import beta_reference
+import enumerate_reference
 from conftest import partitions
 
 # ---------------------------------------------------------------------------
@@ -197,6 +201,29 @@ def test_e_regular_enumeration_is_filter():
             assert list(enumerate_e_regular(n, e)) == expected, (n, e)
 
 
+def test_one_frame_enumerator_matches_the_recursive_reference():
+    for n in range(31):
+        for e in (*range(2, 9), n + 1):
+            if e < 2:
+                continue
+            pairs = list(enumerate_e_regular_bits(n, e))
+            assert [lam for lam, _ in pairs] == list(enumerate_reference.enumerate_e_regular(n, e)), (n, e)
+            for lam, x in pairs:
+                assert x == beta_bits(lam, max(1, len(lam))), (n, e, lam)
+            assert list(enumerate_e_regular(n, e)) == [lam for lam, _ in pairs]
+
+
+def test_e_regular_enumeration_is_reverse_lex_order():
+    # the order pinned without either enumerator: sorted from the second
+    # generator, whose own order is different
+    for n in range(25):
+        everything = list(partitions_by_smallest_part(n))
+        assert list(enumerate_partitions(n)) == sorted(everything, reverse=True), n
+        for e in (2, 3, 4, 5, 6):
+            expected = sorted((lam for lam in everything if is_e_regular(lam, e)), reverse=True)
+            assert list(enumerate_e_regular(n, e)) == expected, (n, e)
+
+
 def test_e_regular_enumeration_rejects_bad_arguments():
     with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
         list(enumerate_e_regular(3, 1))
@@ -333,6 +360,17 @@ def test_rank_limit_is_inclusive():
     assert mullineux_conjectural((MAX_RANK,), MAX_RANK + 1)[0] == (1,) * MAX_RANK
     with pytest.raises(PartitionTooLargeError):
         parse_partition(f"{MAX_RANK},1")
+
+
+def test_bipartition_enumeration_keeps_the_nested_order():
+    def nested(n):
+        for a in range(n, -1, -1):
+            for lam1 in enumerate_partitions(a):
+                for lam2 in enumerate_partitions(n - a):
+                    yield (lam1, lam2)
+
+    for n in range(15):
+        assert list(enumerate_bipartitions(n)) == list(nested(n)), n
 
 
 def test_bipartition_enumeration():
