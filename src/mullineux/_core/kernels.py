@@ -2,8 +2,8 @@
 
 These are the inner loops of the sweep harnesses: rank-one crystal moves on
 partitions, full residue-path stripping and replay, the Mullineux map they
-compose to (Kleshchev's algorithm), the same map by Mullineux's e-rim
-symbol, and the greedy beta-set matching step.  Callers look the
+compose to (Kleshchev's algorithm), Mullineux's e-rim symbol and the
+same map by it, and the greedy beta-set matching step.  Callers look the
 functions up on this module at call time (kernels.psi_step(...)), so a
 wrapper installed on a module attribute sees every call.
 
@@ -192,8 +192,8 @@ def mullineux(parts, e):
     return _replay_strings(strings, e)
 
 
-def remove_e_rim(parts, e):
-    """Remove the e-rim: returns (rest, number of nodes removed).
+def _remove_rim(cur, e):
+    """Remove the e-rim from the list cur in place; returns the nodes removed.
 
     The e-rim is cut into segments of at most e rim nodes.  The first
     starts at the last node of row 1; each runs down the rim, taking
@@ -201,7 +201,6 @@ def remove_e_rim(parts, e):
     (parts_r in the last row), and the next starts on the row after the one
     where the previous ran out.  Every row loses at least one node.
     """
-    cur = list(parts)
     last = len(cur) - 1
     left, size = e, 0
     for r in range(last):
@@ -217,7 +216,32 @@ def remove_e_rim(parts, e):
         size += take
     while cur and not cur[-1]:
         cur.pop()
+    return size
+
+
+def remove_e_rim(parts, e):
+    """Remove the e-rim: returns (rest, number of nodes removed)."""
+    cur = list(parts)
+    size = _remove_rim(cur, e)
     return tuple(cur), size
+
+
+def e_rim_symbol(parts, e):
+    """The e-rim symbol: one column (A, R) per e-rim removed down to the
+    empty partition, A nodes removed from a partition of R rows."""
+    check_modulus(e)
+    cur = list(parts)
+    columns = []
+    while cur:
+        rows = len(cur)
+        columns.append((_remove_rim(cur, e), rows))
+    return columns
+
+
+def dual_symbol(columns, e):
+    """The columns (A, A - R + eps), eps = 0 if e divides A and 1 otherwise:
+    the symbol of the Mullineux image (an involution)."""
+    return [(size, size - rows + (1 if size % e else 0)) for size, rows in columns]
 
 
 def _no_rim(rest, size, rows, e):
@@ -287,25 +311,17 @@ def add_e_rim(rest, size, rows, e):
 def mullineux_symbol(parts, e):
     """Mullineux image via the e-rim symbol, or None if parts is not e-regular.
 
-    Removing e-rims down to the empty partition gives one column (A, R)
-    per rim: A nodes removed from a partition of R rows.  The image is the
-    partition whose columns are (A, A - R + eps), eps = 0 if e divides A and
-    1 otherwise (Mullineux 1979; Ford-Kleshchev 1997), rebuilt from the last
-    column back with add_e_rim.  Every rim takes a node from every row, so a
-    call costs about one pass over the nodes.
+    The image is the e-regular partition whose symbol is the dual of
+    parts' (Mullineux 1979; Ford-Kleshchev 1997), rebuilt from the last
+    column back with add_e_rim.  Every rim takes a node from every row, so
+    a call costs about one pass over the nodes.
     """
     check_modulus(e)
     if any(parts[i] == parts[i + e - 1] for i in range(len(parts) - e + 1)):
         return None
-    columns = []
-    cur = tuple(parts)
-    while cur:
-        rows = len(cur)
-        cur, size = remove_e_rim(cur, e)
-        columns.append((size, rows))
     image = ()
-    for size, rows in reversed(columns):
-        image = add_e_rim(image, size, size - rows + (1 if size % e else 0), e)
+    for size, rows in reversed(dual_symbol(e_rim_symbol(parts, e), e)):
+        image = add_e_rim(image, size, rows, e)
     return image
 
 

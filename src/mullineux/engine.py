@@ -12,14 +12,15 @@ pair whose first set lies inside the second, the step matches every
 element to itself, so the tower builds it in closed form and calls
 kernels.psi_step only after a stage that is not an inclusion.
 The cross-validation sweep runs the recursive algorithm against a proven
-oracle on every e-regular partition in range.  That oracle is Mullineux's
-e-rim symbol (kernels.mullineux_symbol), which costs about one pass over
-the nodes, rather than Kleshchev's residue-path algorithm
-(kernels.mullineux), which scans the rows once for every i-string it
-strips or replays; both give the same image, so the report is the same
-either way.  Kleshchev's algorithm
-remains the oracle of mull, level1 and the recursion's oracle_fallback, and
-the test suite checks the two oracles against each other.
+oracle on every e-regular partition in range: Mullineux's e-rim symbol.
+The symbol determines an e-regular partition (Mullineux 1979;
+Ford-Kleshchev 1997), and the image's symbol is the dual of lam's
+(kernels.dual_symbol), so the sweep accepts the recursion's image when it
+is e-regular with that symbol, and rebuilds the oracle's image
+(kernels.mullineux_symbol) only on a mismatch.  Kleshchev's algorithm
+(kernels.mullineux) remains the oracle of mull, level1 and the
+recursion's oracle_fallback, and the test suite checks the two oracles
+against each other.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -588,40 +589,46 @@ def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> lis
     oracle, and the stabilized walks of (lam, lam) at moduli 2e and e
     against each other.
 
-    The oracle is Mullineux's e-rim symbol, kernels.mullineux_symbol, not
-    Kleshchev's kernels.mullineux: both are proven and agree, and the symbol
-    costs about one pass over the nodes instead of a scan of the rows per
-    i-string.  An oracle error reaches _bucket, which records it as kind "error".
-    The walks are compared on bitsets and decoded only for a mismatch.
+    The recursion's image is accepted when it is e-regular and its e-rim
+    symbol is the dual of lam's, which holds exactly when it is the
+    Mullineux image (see the module docstring); otherwise the oracle's
+    image is rebuilt for the record.  A kernel's error reaches _bucket,
+    which records it as kind "error".  The walks are compared on bitsets
+    and decoded only for a mismatch.
     """
-    name = format_partition(lam)
     failures = []
-    oracle = kernels.mullineux_symbol(lam, e)
     trace = None
     try:
         recursive, trace = mullineux_conjectural(lam, e, depth_limit=depth_limit)
-        if recursive != oracle:
-            failures.append(
-                {
-                    "e": e,
-                    "partition": name,
-                    "kind": "mullineux_mismatch",
-                    "oracle": format_partition(oracle),
-                    "recursive": format_partition(recursive),
-                }
-            )
+        if not (
+            beta_set_is_e_regular(trace.image_beta, e)
+            and kernels.e_rim_symbol(recursive, e) == kernels.dual_symbol(kernels.e_rim_symbol(lam, e), e)
+        ):
+            oracle = kernels.mullineux_symbol(lam, e)
+            if recursive != oracle:
+                failures.append(
+                    {
+                        "e": e,
+                        "partition": format_partition(lam),
+                        "kind": "mullineux_mismatch",
+                        "oracle": format_partition(oracle),
+                        "recursive": format_partition(recursive),
+                    }
+                )
     except ConjectureViolationError as exc:
         failures.append(
             {
                 "e": e,
-                "partition": name,
+                "partition": format_partition(lam),
                 "kind": "conjecture_violation",
                 "detail": str(exc),
                 "trace": exc.trace.to_dict() if exc.trace is not None else None,
             }
         )
     except DepthExceededError as exc:
-        failures.append({"e": e, "partition": name, "kind": "depth_exceeded", "detail": str(exc)})
+        failures.append(
+            {"e": e, "partition": format_partition(lam), "kind": "depth_exceeded", "detail": str(exc)}
+        )
     # except at an e-core or when it raised, the recursion already walked
     # (lam, lam) at modulus 2e
     double = _diagonal_walk(2 * e, e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
@@ -630,7 +637,7 @@ def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> lis
         failures.append(
             {
                 "e": e,
-                "partition": name,
+                "partition": format_partition(lam),
                 "kind": "isomorphism_mismatch",
                 "at_2e": [format_partition(p) for p in betamaps.decode_bits(double)],
                 "at_e": [format_partition(p) for p in betamaps.decode_bits(single)],

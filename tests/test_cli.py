@@ -257,7 +257,7 @@ def test_sweep_error_exits_two(capsys, monkeypatch):
         raise RuntimeError("broken check")
 
     monkeypatch.setattr(cli.engine, "_tower", broken)
-    monkeypatch.setattr(cli.engine.kernels, "mullineux_symbol", broken)
+    monkeypatch.setattr(cli.engine.kernels, "e_rim_symbol", broken)
     for command in ("verify-conjecture", "cross-validate"):
         code, out, _ = run_cli(capsys, command, "--e", "3", "--max-n", "1", "--jobs", "1")
         assert code == 2

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from mullineux import engine
+from mullineux import betamaps, engine
 from mullineux._core import kernels
 from mullineux.engine import (
     SweepReport,
@@ -28,9 +28,12 @@ from mullineux.partitions import (
     beta_set_from_bits,
     conjugate,
     enumerate_e_regular,
+    enumerate_e_regular_bits,
     enumerate_partitions,
+    format_partition,
     is_e_core,
     is_e_regular,
+    minimal_beta_set,
     partition_from_beta_set,
 )
 
@@ -532,6 +535,21 @@ def test_cross_validate_counts_depth_exceeded():
     assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
 
 
+def test_stopped_tower_ends_where_the_walk_at_modulus_e_ends():
+    # the walk of (lam, lam) at modulus e from bicharge (0, 0) takes the steps
+    # of lam's tower, which stops at the shortcut well before this cap
+    checked = 0
+    for e in range(2, 6):
+        for n in range(1, 23):
+            for lam, x in enumerate_e_regular_bits(n, e):
+                _, x1, x2, _ = engine._tower(e, x, 2 * n // e + 3, True)[-1]
+                assert betamaps.shortcut_on_beta_sets(x1, x2), (lam, e)
+                walk = engine._diagonal_walk(e, 0, x)
+                assert (minimal_beta_set(x1), minimal_beta_set(x2)) == walk, (lam, e)
+                checked += 1
+    assert checked == 7516
+
+
 # ---------------------------------------------------------------------------
 # the sweep pipeline
 
@@ -631,32 +649,85 @@ def fail_on(monkeypatch, module, name, args, exc):
 
 
 @pytest.mark.parametrize(
-    "sweep, target, args, exc",
+    "sweep, target, args, exc, partition",
     [
-        (
+        pytest.param(
             lambda jobs: sweep_conjecture([2, 3], 7, 5, jobs=jobs),
             (engine, "_tower"),
             (3, beta_bits((3, 1), 2)),
             AssertionError("stage 1 failed"),
+            "3,1",
+            id="tower",
         ),
-        (
+        # the sweep reads the symbol of lam and of its image, so the fault is
+        # on a partition that is its own image, (3,1,1) at e = 3
+        pytest.param(
             lambda jobs: cross_validate([2, 3], 7, jobs=jobs),
-            (engine.kernels, "mullineux_symbol"),
-            ((3, 1), 3),
+            (engine.kernels, "e_rim_symbol"),
+            ((3, 1, 1), 3),
             ValueError("bad part"),
+            "3,1,1",
+            id="e-rim-symbol",
         ),
     ],
 )
-def test_unexpected_exception_is_a_counterexample(sweep, target, args, exc, monkeypatch):
+def test_unexpected_exception_is_a_counterexample(sweep, target, args, exc, partition, monkeypatch):
     clean = sweep(1)
     assert clean.verified
     fail_on(monkeypatch, *target, args, exc)
-    reports = [sweep(jobs) for jobs in (1, 2)]
+    assert_only_error([sweep(jobs) for jobs in (1, 2)], clean, partition, exc)
+
+
+def assert_only_error(reports, clean, partition, exc):
+    """Each report holds one failure, of kind "error", at e = 3; the reports
+    match the clean one's grid and each other."""
     for report in reports:
         assert report.status == "counterexample"
         assert report.counterexamples == [
-            {"e": 3, "partition": "3,1", "kind": "error", "detail": f"{type(exc).__name__}: {exc}"}
+            {"e": 3, "partition": partition, "kind": "error", "detail": f"{type(exc).__name__}: {exc}"}
         ]
         assert report.checked == clean.checked
         assert list(report.timings) == list(clean.timings)
     assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
+
+
+def give_wrong_image(monkeypatch, lam, e, wrong):
+    """Make engine.mullineux_conjectural answer `wrong` for lam at modulus e,
+    in its return value and in its trace's image."""
+    original = engine.mullineux_conjectural
+
+    def wrapped(mu, modulus, *args, **kwargs):
+        image, trace = original(mu, modulus, *args, **kwargs)
+        if (mu, modulus) == (lam, e):
+            return wrong, trace._replace(image_beta=beta_bits(wrong, max(1, len(wrong))))
+        return image, trace
+
+    monkeypatch.setattr(engine, "mullineux_conjectural", wrapped)
+
+
+# M(3,1) = (2,1,1) at e = 3; (4,) is 3-regular and (1,1,1,1) is not
+@pytest.mark.parametrize("wrong", [(4,), (1, 1, 1, 1)], ids=["e-regular", "not-e-regular"])
+def test_wrong_image_is_a_mullineux_mismatch(wrong, monkeypatch):
+    give_wrong_image(monkeypatch, (3, 1), 3, wrong)
+    oracle = format_partition(kernels.mullineux_symbol((3, 1), 3))
+    assert oracle == "2,1,1"
+    reports = [cross_validate([2, 3], 7, jobs=jobs) for jobs in (1, 2)]
+    for report in reports:
+        assert report.counterexamples == [
+            {
+                "e": 3,
+                "partition": "3,1",
+                "kind": "mullineux_mismatch",
+                "oracle": oracle,
+                "recursive": format_partition(wrong),
+            }
+        ]
+    assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
+
+
+def test_oracle_error_on_the_mismatch_path_is_a_counterexample(monkeypatch):
+    clean = cross_validate([2, 3], 7)
+    give_wrong_image(monkeypatch, (3, 1), 3, (4,))
+    exc = ValueError("bad part")
+    fail_on(monkeypatch, engine.kernels, "mullineux_symbol", ((3, 1), 3), exc)
+    assert_only_error([cross_validate([2, 3], 7, jobs=jobs) for jobs in (1, 2)], clean, "3,1", exc)

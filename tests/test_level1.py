@@ -329,6 +329,8 @@ def test_modulus_below_two_is_refused():
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 kernels.mullineux_symbol(lam, e)
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
+                kernels.e_rim_symbol(lam, e)
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 mullineux_conjectural(lam, e)
 
 
@@ -403,6 +405,24 @@ def test_symbol_matches_kleshchev_at_large_rank(rng):
         lam = random_e_regular(rng, rng.randint(150, 300), e)
         assert is_e_regular(lam, e)
         assert kernels.mullineux_symbol(lam, e) == kernels.mullineux(lam, e), (lam, e)
+
+
+def test_symbol_check_accepts_exactly_the_rebuilt_image():
+    # the sweep accepts an e-regular mu when its symbol is the dual of lam's;
+    # that is exact when the dual is the image's symbol and no two e-regular
+    # partitions of a rank share a symbol
+    checked = 0
+    for e in range(2, 8):
+        for n in range(19):
+            seen = {}
+            for lam in enumerate_e_regular(n, e):
+                symbol = kernels.e_rim_symbol(lam, e)
+                dual = kernels.dual_symbol(symbol, e)
+                assert kernels.dual_symbol(dual, e) == symbol, (lam, e)
+                assert kernels.e_rim_symbol(kernels.mullineux_symbol(lam, e), e) == dual, (lam, e)
+                assert seen.setdefault(tuple(symbol), lam) == lam, (lam, seen[tuple(symbol)], e)
+                checked += 1
+    assert checked == 5693  # Glaisher: as many as partitions with no part divisible by e
 
 
 def test_adding_the_removed_rim_gives_the_partition_back():
