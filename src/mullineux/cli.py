@@ -25,9 +25,13 @@ import sys
 from mullineux import betamaps, engine, level1
 from mullineux.schema import SCHEMA_VERSION
 from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError
-from mullineux.partitions import Partition, format_partition, parse_partition
+from mullineux.partitions import MAX_RANK, Partition, format_partition, parse_partition, unrestricted_modulus
 
 DEFAULT_E_LIST = "2,3,4,5"
+# every partition of rank <= MAX_RANK is an e-core at this modulus
+MAX_MODULUS = unrestricted_modulus(MAX_RANK)
+# past this gap every walk step is the identity on rank <= MAX_RANK (betamaps.stable_shift)
+MAX_CHARGE_GAP = 2 * MAX_RANK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +63,14 @@ def parse_int_list(text: str, option: str) -> list[int]:
         return [int(chunk) for chunk in chunks]
     except ValueError:
         raise ValueError(f"{option} takes comma-separated ints, got {text!r}") from None
+
+
+def check_moduli(moduli: list[int]) -> list[int]:
+    """moduli, or ValueError when one exceeds MAX_MODULUS."""
+    for e in moduli:
+        if e > MAX_MODULUS:
+            raise ValueError(f"modulus {e} exceeds MAX_MODULUS = {MAX_MODULUS}")
+    return moduli
 
 
 def _default_jobs() -> int:
@@ -151,7 +163,7 @@ def cmd_mull(args) -> int:
 
 def sweep_verify_conjecture(args) -> engine.SweepReport:
     return engine.sweep_conjecture(
-        parse_int_list(args.e, "--e"),
+        check_moduli(parse_int_list(args.e, "--e")),
         args.max_n,
         args.max_k,
         regular_only=not args.all_partitions,
@@ -161,7 +173,7 @@ def sweep_verify_conjecture(args) -> engine.SweepReport:
 
 def sweep_cross_validate(args) -> engine.SweepReport:
     return engine.cross_validate(
-        parse_int_list(args.e, "--e"), args.max_n, depth_limit=args.depth_limit, jobs=args.jobs
+        check_moduli(parse_int_list(args.e, "--e")), args.max_n, depth_limit=args.depth_limit, jobs=args.jobs
     )
 
 
@@ -206,6 +218,8 @@ def cmd_psi(args) -> int:
     if s1 > s2:
         print("mullineux: error: charges must satisfy s1 <= s2", file=sys.stderr)
         return 1
+    if s2 - s1 > MAX_CHARGE_GAP:
+        raise ValueError(f"charge gap {s2 - s1} exceeds 2 * MAX_RANK = {MAX_CHARGE_GAP}")
     e = args.e
     blam = parse_bipartition(args.bipartition)
     if args.to_dominant:
@@ -338,10 +352,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "e", None) is not None and isinstance(args.e, int) and args.e < 2:
+    single_e = isinstance(getattr(args, "e", None), int)
+    if single_e and args.e < 2:
         print("mullineux: error: modulus must be at least 2", file=sys.stderr)
         return 1
     try:
+        if single_e:
+            check_moduli([args.e])
         if hasattr(args, "jobs") and args.jobs is None:
             args.jobs = _default_jobs()
         return args.func(args)

@@ -11,16 +11,14 @@ Each stage's inclusion flag also picks how the next step is taken: from a
 pair whose first set lies inside the second, the step matches every
 element to itself, so the tower builds it in closed form and calls
 kernels.psi_step only after a stage that is not an inclusion.
-The cross-validation sweep runs the recursive algorithm against a proven
-oracle on every e-regular partition in range: Mullineux's e-rim symbol.
-The symbol determines an e-regular partition (Mullineux 1979;
-Ford-Kleshchev 1997), and the image's symbol is the dual of lam's
-(kernels.dual_symbol), so the sweep accepts the recursion's image when it
-is e-regular with that symbol, and rebuilds the oracle's image
-(kernels.mullineux_symbol) only on a mismatch.  Kleshchev's algorithm
-(kernels.mullineux) remains the oracle of mull, level1 and the
-recursion's oracle_fallback, and the test suite checks the two oracles
-against each other.
+The cross-validation sweep checks the recursive algorithm on every
+e-regular partition in range against Mullineux's e-rim symbol, which
+determines an e-regular partition (Mullineux 1979; Ford-Kleshchev 1997):
+the image's symbol is the dual of lam's (kernels.dual_symbol), so the
+sweep accepts the recursion's image when it is e-regular with that
+symbol.  Only a mismatch runs the oracle, Kleshchev's algorithm
+(kernels.mullineux), for the record; it is also the oracle of mull,
+level1 and the recursion's oracle_fallback.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -591,10 +589,10 @@ def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> lis
 
     The recursion's image is accepted when it is e-regular and its e-rim
     symbol is the dual of lam's, which holds exactly when it is the
-    Mullineux image (see the module docstring); otherwise the oracle's
-    image is rebuilt for the record.  A kernel's error reaches _bucket,
-    which records it as kind "error".  The walks are compared on bitsets
-    and decoded only for a mismatch.
+    Mullineux image (see the module docstring); otherwise Kleshchev's
+    algorithm gives the oracle's image for the record.  A kernel's error
+    reaches _bucket, which records it as kind "error".  The walks are
+    compared on bitsets and decoded only for a mismatch.
     """
     failures = []
     trace = None
@@ -604,7 +602,7 @@ def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> lis
             beta_set_is_e_regular(trace.image_beta, e)
             and kernels.e_rim_symbol(recursive, e) == kernels.dual_symbol(kernels.e_rim_symbol(lam, e), e)
         ):
-            oracle = kernels.mullineux_symbol(lam, e)
+            oracle = kernels.mullineux(lam, e)
             if recursive != oracle:
                 failures.append(
                     {
@@ -652,7 +650,7 @@ def cross_validate(
     depth_limit: int = 16,
     jobs: int = 1,
 ) -> SweepReport:
-    """Compare the recursive algorithm with the e-rim symbol oracle on every
+    """Check the recursive algorithm's image by its e-rim symbol on every
     e-regular partition of rank <= n_max, and check that the stabilized
     isomorphism of (lam, lam) agrees between modulus 2e at bicharge (0, e)
     and modulus e at bicharge (0, 0).  Mismatches are recorded, not raised.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mullineux import cli
 from mullineux.betamaps import minimal_padding, psi_tilde, psi_tilde_inverse
-from mullineux.partitions import enumerate_bipartitions, partition_from_beta_set
+from mullineux.partitions import MAX_RANK, enumerate_bipartitions, partition_from_beta_set
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,37 @@ def test_mull_usage_errors(capsys):
     assert run_cli(capsys, "mull", "--e", "1", "--lambda", "2,1")[0] == 1
     assert run_cli(capsys, "mull", "--e", "3", "--lambda", "1,1,1")[0] == 1  # not regular
     assert run_cli(capsys, "mull", "--e", "3")[0] == 1  # missing --lambda
+
+
+def test_modulus_above_the_rank_bound_is_a_usage_error(capsys):
+    e = str(MAX_RANK + 2)
+    for argv in (
+        ["mull", "--method", "both", "--e", e, "--lambda", "3,1"],
+        ["psi", "--e", e, "--charges", "0,1", "--bipartition", "1|1"],
+        ["crystal-export", "--e", e, "--max-n", "1"],
+        ["verify-conjecture", "--e", f"2,{e}", "--max-n", "1", "--jobs", "1"],
+        ["cross-validate", "--e", e, "--max-n", "1", "--jobs", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert f"mullineux: error: modulus {e} exceeds MAX_MODULUS = {MAX_RANK + 1}" in err, argv
+    # every partition in range is an e-core at MAX_RANK + 1, so its image is its conjugate
+    code, out, _ = run_cli(capsys, "mull", "--method", "both", "--e", str(MAX_RANK + 1), "--lambda", "3,1")
+    assert code == 0 and get_json(out)["results"]["recursive"] == "2,1,1"
+
+
+def test_charge_gap_above_twice_the_rank_bound_is_a_usage_error(capsys):
+    gap = 2 * MAX_RANK
+    for charges in (f"0,{gap + 1}", f"-1,{gap}"):
+        for extra in ([], ["--to-dominant"], ["--inverse"]):
+            code, out, err = run_cli(
+                capsys, "psi", "--e", "3", f"--charges={charges}", "--bipartition", "2,1|1", *extra
+            )
+            assert code == 1 and out == ""
+            assert f"mullineux: error: charge gap {gap + 1} exceeds 2 * MAX_RANK = {gap}" in err
+    # past a gap of 2 * MAX_RANK every step is the identity
+    code, out, _ = run_cli(capsys, "psi", "--e", "3", f"--charges=0,{gap}", "--bipartition", "2,1|1")
+    assert code == 0 and get_json(out)["results"]["image"] == "2,1|1"
 
 
 # ---------------------------------------------------------------------------

@@ -678,13 +678,13 @@ def test_unexpected_exception_is_a_counterexample(sweep, target, args, exc, part
     assert_only_error([sweep(jobs) for jobs in (1, 2)], clean, partition, exc)
 
 
-def assert_only_error(reports, clean, partition, exc):
-    """Each report holds one failure, of kind "error", at e = 3; the reports
-    match the clean one's grid and each other."""
+def assert_only_error(reports, clean, partition, exc, e=3):
+    """Each report holds one failure, of kind "error", at modulus e; the
+    reports match the clean one's grid and each other."""
     for report in reports:
         assert report.status == "counterexample"
         assert report.counterexamples == [
-            {"e": 3, "partition": partition, "kind": "error", "detail": f"{type(exc).__name__}: {exc}"}
+            {"e": e, "partition": partition, "kind": "error", "detail": f"{type(exc).__name__}: {exc}"}
         ]
         assert report.checked == clean.checked
         assert list(report.timings) == list(clean.timings)
@@ -709,7 +709,7 @@ def give_wrong_image(monkeypatch, lam, e, wrong):
 @pytest.mark.parametrize("wrong", [(4,), (1, 1, 1, 1)], ids=["e-regular", "not-e-regular"])
 def test_wrong_image_is_a_mullineux_mismatch(wrong, monkeypatch):
     give_wrong_image(monkeypatch, (3, 1), 3, wrong)
-    oracle = format_partition(kernels.mullineux_symbol((3, 1), 3))
+    oracle = format_partition(kernels.mullineux((3, 1), 3))
     assert oracle == "2,1,1"
     reports = [cross_validate([2, 3], 7, jobs=jobs) for jobs in (1, 2)]
     for report in reports:
@@ -729,5 +729,51 @@ def test_oracle_error_on_the_mismatch_path_is_a_counterexample(monkeypatch):
     clean = cross_validate([2, 3], 7)
     give_wrong_image(monkeypatch, (3, 1), 3, (4,))
     exc = ValueError("bad part")
-    fail_on(monkeypatch, engine.kernels, "mullineux_symbol", ((3, 1), 3), exc)
+    fail_on(monkeypatch, engine.kernels, "mullineux", ((3, 1), 3), exc)
     assert_only_error([cross_validate([2, 3], 7, jobs=jobs) for jobs in (1, 2)], clean, "3,1", exc)
+
+
+def test_broken_stage_one_step_is_an_error(monkeypatch):
+    # stage 0 of (2,) at e = 2 is not an inclusion, so stage 1 is a kernel step
+    x = beta_bits((2,), 1)
+    assert not conjecture_tower(2, (2,), 0).steps[0].inclusion
+    clean = sweep_conjecture([2, 3], 4, 5)
+    assert clean.verified
+    step = kernels.psi_step
+
+    def broken(e, x1, x2):
+        if (e, x1, x2) == (2, x, x << 2 | 0b11):
+            return x1, 0b11  # the first set is no longer inside the second
+        return step(e, x1, x2)
+
+    monkeypatch.setattr(engine.kernels, "psi_step", broken)
+    exc = AssertionError(
+        "inclusion failed at stage 1 for e=2, x=(2,); this case is proved, so the step implementation is broken"
+    )
+    reports = [sweep_conjecture([2, 3], 4, 5, jobs=jobs) for jobs in (1, 2)]
+    assert_only_error(reports, clean, "2", exc, e=2)
+
+
+def test_walk_disagreement_is_an_isomorphism_mismatch(monkeypatch):
+    # (4,1) is not a 3-core, so the walk at modulus 6 is the one the recursion took
+    walk = engine._diagonal_walk
+    x = beta_bits((4, 1), 2)
+
+    def wrong_at_e(e, s2, y):
+        if (e, s2, y) == (3, 0, x):
+            return beta_bits((4,), 1), beta_bits((), 1)
+        return walk(e, s2, y)
+
+    monkeypatch.setattr(engine, "_diagonal_walk", wrong_at_e)
+    reports = [cross_validate([2, 3], 7, jobs=jobs) for jobs in (1, 2)]
+    for report in reports:
+        assert report.counterexamples == [
+            {
+                "e": 3,
+                "partition": "4,1",
+                "kind": "isomorphism_mismatch",
+                "at_2e": ["3,1", "4,2"],
+                "at_e": ["4", "-"],
+            }
+        ]
+    assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())

@@ -299,7 +299,7 @@ def test_string_kernel_matches_the_symbol_on_many_rows():
     staircase = tuple(range(140, 0, -1))  # rank 9,870
     many_rows = tuple(p for p in range(60, 0, -1) for _ in range(4))  # 240 rows
     for lam, e in ((staircase, 2), (staircase, 5), (many_rows, 5)):
-        assert kernels.mullineux(lam, e) == kernels.mullineux_symbol(lam, e), e
+        assert_passes_the_symbol_check(lam, e)
     assert mullineux_kleshchev(staircase, 2) == staircase
 
 
@@ -327,15 +327,28 @@ def test_modulus_below_two_is_refused():
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 psi_step_inverse(e, beta_set(lam, 1), beta_set(lam, 1))
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
-                kernels.mullineux_symbol(lam, e)
-            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 kernels.e_rim_symbol(lam, e)
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 mullineux_conjectural(lam, e)
 
 
 # ---------------------------------------------------------------------------
-# the e-rim symbol oracle
+# the e-rim symbol check
+
+
+def assert_passes_the_symbol_check(lam, e):
+    """The check cross-validation runs, on Kleshchev's image of lam: it is
+    e-regular and its e-rim symbol is the dual of lam's."""
+    image = kernels.mullineux(lam, e)
+    assert is_e_regular(image, e), (lam, e)
+    assert kernels.e_rim_symbol(image, e) == kernels.dual_symbol(kernels.e_rim_symbol(lam, e), e), (lam, e)
+
+
+def remove_rim(lam, e):
+    """(rest, nodes removed) of lam's e-rim."""
+    rest = list(lam)
+    size = kernels._remove_rim(rest, e)
+    return tuple(rest), size
 
 
 def brute_force_e_rim(lam, e):
@@ -387,7 +400,7 @@ def test_remove_e_rim_matches_the_diagram():
     for e in range(2, 6):
         for n in range(15):
             for lam in enumerate_partitions(n):
-                rest, size = kernels.remove_e_rim(lam, e)
+                rest, size = remove_rim(lam, e)
                 rim = brute_force_e_rim(lam, e)
                 assert diagram(rest) == diagram(lam) - rim
                 assert size == len(rim)
@@ -396,7 +409,7 @@ def test_remove_e_rim_matches_the_diagram():
 def test_symbol_matches_kleshchev():
     assert len(SYMBOL_GRID) == 6381  # Glaisher: as many as partitions with no part divisible by e
     for lam, e in SYMBOL_GRID:
-        assert kernels.mullineux_symbol(lam, e) == kernels.mullineux(lam, e), (lam, e)
+        assert_passes_the_symbol_check(lam, e)
 
 
 def test_symbol_matches_kleshchev_at_large_rank(rng):
@@ -404,13 +417,14 @@ def test_symbol_matches_kleshchev_at_large_rank(rng):
         e = rng.randint(2, 7)
         lam = random_e_regular(rng, rng.randint(150, 300), e)
         assert is_e_regular(lam, e)
-        assert kernels.mullineux_symbol(lam, e) == kernels.mullineux(lam, e), (lam, e)
+        assert_passes_the_symbol_check(lam, e)
 
 
 def test_symbol_check_accepts_exactly_the_rebuilt_image():
     # the sweep accepts an e-regular mu when its symbol is the dual of lam's;
-    # that is exact when the dual is the image's symbol and no two e-regular
-    # partitions of a rank share a symbol
+    # that is exact when the dual is the symbol of the image Kleshchev's
+    # algorithm rebuilds and no two e-regular partitions of a rank share a
+    # symbol
     checked = 0
     for e in range(2, 8):
         for n in range(19):
@@ -419,54 +433,19 @@ def test_symbol_check_accepts_exactly_the_rebuilt_image():
                 symbol = kernels.e_rim_symbol(lam, e)
                 dual = kernels.dual_symbol(symbol, e)
                 assert kernels.dual_symbol(dual, e) == symbol, (lam, e)
-                assert kernels.e_rim_symbol(kernels.mullineux_symbol(lam, e), e) == dual, (lam, e)
+                assert kernels.e_rim_symbol(kernels.mullineux(lam, e), e) == dual, (lam, e)
                 assert seen.setdefault(tuple(symbol), lam) == lam, (lam, seen[tuple(symbol)], e)
                 checked += 1
     assert checked == 5693  # Glaisher: as many as partitions with no part divisible by e
 
 
-def test_adding_the_removed_rim_gives_the_partition_back():
-    for lam, e in SYMBOL_GRID:
-        if lam:
-            rest, size = kernels.remove_e_rim(lam, e)
-            assert kernels.add_e_rim(rest, size, len(lam), e) == lam
-
-
-def test_long_rims_are_rebuilt_without_recursion():
-    # one 2-rim of this staircase has 1,100 segments, more frames than
-    # Python's default recursion limit allows
+def test_long_rims_are_removed_in_one_pass():
+    # one 2-rim of this staircase has 1,100 segments
     staircase = tuple(range(1100, 0, -1))
-    rest, size = kernels.remove_e_rim(staircase, 2)
-    assert size == 2199 and rest == tuple(range(1098, 0, -1))
-    assert kernels.add_e_rim(rest, size, len(staircase), 2) == staircase
-    assert kernels.remove_e_rim((3000,), 2) == ((2998,), 2)
-    assert kernels.mullineux_symbol((3000,), 2) == (3000,)
-
-
-def test_symbol_is_none_off_regular_partitions():
-    for e in range(2, 6):
-        for n in range(13):
-            for lam in enumerate_partitions(n):
-                assert (kernels.mullineux_symbol(lam, e) is None) == (not is_e_regular(lam, e))
-
-
-def test_add_e_rim_finds_a_partition_exactly_when_one_exists():
-    for e in (2, 3, 4):
-        n_max = 12
-        exists = {}  # (rest, size, rows) -> every partition removing to it
-        for n in range(1, n_max + 1):
-            for lam in enumerate_partitions(n):
-                exists.setdefault((*kernels.remove_e_rim(lam, e), len(lam)), []).append(lam)
-        for n in range(n_max):
-            for rest in enumerate_partitions(n):
-                for size in range(0, n_max - n + 1):
-                    for rows in range(len(rest), len(rest) + size + 1):
-                        key = (rest, size, rows)
-                        if key in exists:
-                            assert kernels.add_e_rim(rest, size, rows, e) in exists[key], key
-                        else:
-                            with pytest.raises(ValueError, match="no partition of"):
-                                kernels.add_e_rim(rest, size, rows, e)
+    assert remove_rim(staircase, 2) == (tuple(range(1098, 0, -1)), 2199)
+    assert remove_rim((3000,), 2) == ((2998,), 2)
+    assert kernels.mullineux((3000,), 2) == (3000,)
+    assert_passes_the_symbol_check((3000,), 2)
 
 
 # ---------------------------------------------------------------------------
