@@ -18,7 +18,8 @@ the image's symbol is the dual of lam's (kernels.dual_symbol), so the
 sweep accepts the recursion's image when it is e-regular with that
 symbol.  Only a mismatch runs the oracle, Kleshchev's algorithm
 (kernels.mullineux), for the record; it is also the oracle of mull,
-level1 and the recursion's oracle_fallback.
+level1 and the recursion's oracle_fallback.  Its walk of (lam, lam) at
+modulus e is lam's stopped tower, whose odd-stage failures it records.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -355,21 +356,32 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
 # conjecture sweep
 
 
+def _odd_stage_failures(
+    lam: Partition, e: int, rows: list[tuple[int, Bits, Bits, bool]], kind: dict
+) -> list[dict]:
+    """A record per odd row of lam's tower that is not an inclusion, with
+    kind's fields after the partition."""
+    # a loop: before Python 3.12 a comprehension builds a function on every call
+    failures = []
+    for k, x1, x2, inclusion in rows:
+        if k % 2 and not inclusion:
+            failures.append(
+                {
+                    "e": e,
+                    "partition": format_partition(lam),
+                    **kind,
+                    "beta_set": list(beta_set(lam, max(1, len(lam)))),
+                    "k": k,
+                    "missing": list(beta_set_from_bits(x1 & ~x2)),
+                }
+            )
+    return failures
+
+
 def _tower_failures(lam: Partition, x: Bits, e: int, k_max: int) -> list[dict]:
-    """Odd stages of lam's stopped tower from its bitset x that are not
-    inclusions, with lam's beta-set and the missing beads as lists."""
-    return [
-        {
-            "e": e,
-            "partition": format_partition(lam),
-            "beta_set": list(beta_set(lam, max(1, len(lam)))),
-            "k": k,
-            "missing": list(beta_set_from_bits(x1 & ~x2)),
-        }
-        # the flag goes positionally, so a stand-in taking only *args can replace the tower
-        for k, x1, x2, inclusion in _tower(e, x, k_max, True)
-        if k % 2 and not inclusion
-    ]
+    """Odd-stage failures of lam's stopped tower from its bitset x."""
+    # the flag goes positionally, so a stand-in taking only *args can replace the tower
+    return _odd_stage_failures(lam, e, _tower(e, x, k_max, True), {})
 
 
 def sweep_conjecture(
@@ -480,10 +492,10 @@ def _outcome(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: boo
         return exc
 
 
-def _diagonal_walk(e: int, s2: int, x: Bits) -> BitPair:
-    """psi_tilde(e, (0, s2), (lam, lam)) for lam = the partition x encodes,
+def _diagonal_walk(e: int, x: Bits) -> BitPair:
+    """psi_tilde(2e, (0, e), (lam, lam)) for lam = the partition x encodes,
     as two bitsets at minimal padding."""
-    y1, y2 = betamaps.psi_tilde_beta_sets(e, (0, s2), (x, pad_beta_set(x, x.bit_count() + s2)))
+    y1, y2 = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (x, pad_beta_set(x, x.bit_count() + e)))
     return minimal_beta_set(y1), minimal_beta_set(y2)
 
 
@@ -512,7 +524,7 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
             depth=depth,
         )
     try:
-        mu = _diagonal_walk(2 * e, e, x)
+        mu = _diagonal_walk(e, x)
     except ValueError as exc:
         lam = _partition(x)
         raise ConjectureViolationError(
@@ -584,15 +596,13 @@ def mullineux_conjectural(
 
 def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> list[dict]:
     """Failure dicts for lam, with bitset x: the recursion against a proven
-    oracle, and the stabilized walks of (lam, lam) at moduli 2e and e
-    against each other.
+    oracle, the stabilized walks of (lam, lam) at moduli 2e and e against
+    each other, and odd-stage inclusion along the walk at e, lam's tower.
 
     The recursion's image is accepted when it is e-regular and its e-rim
-    symbol is the dual of lam's, which holds exactly when it is the
-    Mullineux image (see the module docstring); otherwise Kleshchev's
-    algorithm gives the oracle's image for the record.  A kernel's error
-    reaches _bucket, which records it as kind "error".  The walks are
-    compared on bitsets and decoded only for a mismatch.
+    symbol is the dual of lam's (see the module docstring); otherwise
+    Kleshchev's algorithm gives the oracle's image for the record.  A
+    kernel's error reaches _bucket, which records it as kind "error".
     """
     failures = []
     trace = None
@@ -629,8 +639,13 @@ def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> lis
         )
     # except at an e-core or when it raised, the recursion already walked
     # (lam, lam) at modulus 2e
-    double = _diagonal_walk(2 * e, e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
-    single = _diagonal_walk(e, 0, x)
+    double = _diagonal_walk(e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
+    # the walk at modulus e takes the tower's steps, and the tower meets the
+    # shortcut by stage stable_shift - 1, where the charge gap exceeds 2n
+    rows = _tower(e, x, betamaps.stable_shift((0, 0), sum(lam), e), True)
+    failures.extend(_odd_stage_failures(lam, e, rows, {"kind": "inclusion_failure"}))
+    _, x1, x2, _ = rows[-1]
+    single = minimal_beta_set(x1), minimal_beta_set(x2)
     if double != single:
         failures.append(
             {
@@ -650,10 +665,10 @@ def cross_validate(
     depth_limit: int = 16,
     jobs: int = 1,
 ) -> SweepReport:
-    """Check the recursive algorithm's image by its e-rim symbol on every
-    e-regular partition of rank <= n_max, and check that the stabilized
-    isomorphism of (lam, lam) agrees between modulus 2e at bicharge (0, e)
-    and modulus e at bicharge (0, 0).  Mismatches are recorded, not raised.
+    """Check, on every e-regular partition of rank <= n_max, the recursion's
+    image by its e-rim symbol, the stabilized isomorphism of (lam, lam) at
+    modulus 2e, bicharge (0, e), against modulus e, bicharge (0, 0), and
+    odd-stage inclusion along the latter.  Failures are recorded, not raised.
     """
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")

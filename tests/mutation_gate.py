@@ -35,6 +35,11 @@ ENGINE_TESTS = "tests/test_engine.py"
 MUTANTS = [
     ("walk-mismatch-ignored", ENGINE,
      "    if double != single:", "    if False:", ENGINE_TESTS),
+    ("crossval-odd-stages-dropped", ENGINE,
+     '    failures.extend(_odd_stage_failures(lam, e, rows, {"kind": "inclusion_failure"}))\n', "", ENGINE_TESTS),
+    ("crossval-tower-capped-at-9", ENGINE,
+     "    rows = _tower(e, x, betamaps.stable_shift((0, 0), sum(lam), e), True)",
+     "    rows = _tower(e, x, min(9, betamaps.stable_shift((0, 0), sum(lam), e)), True)", ENGINE_TESTS),
     ("stage-one-assertion-dropped", ENGINE,
      "        if k == 1 and not inclusion:", "        if False:", ENGINE_TESTS),
     ("mullineux-mismatch-ignored", ENGINE,
@@ -51,7 +56,7 @@ MUTANTS = [
      "DepthExceededError) as exc:\n        return exc\n", "DepthExceededError) as exc:\n        raise\n",
      ENGINE_TESTS),
     ("even-stage-failures-recorded", ENGINE,
-     "        if k % 2 and not inclusion\n", "        if not k % 2 and not inclusion\n", ENGINE_TESTS),
+     "        if k % 2 and not inclusion:", "        if not k % 2 and not inclusion:", ENGINE_TESTS),
     ("towers-stop-at-stage-5", ENGINE,
      "        if stop_at_shortcut and shortcut:", "        if stop_at_shortcut and (shortcut or k == 5):",
      ENGINE_TESTS),

@@ -95,7 +95,15 @@ def test_mull_oversized_input_is_a_usage_error(capsys):
 
 def test_mull_usage_errors(capsys):
     assert run_cli(capsys, "mull", "--e", "3", "--lambda", "1,2")[0] == 1
-    assert run_cli(capsys, "mull", "--e", "1", "--lambda", "2,1")[0] == 1
+    # every single-modulus command refuses e = 1 with the sweeps' message
+    for argv in (
+        ["mull", "--e", "1", "--lambda", "2,1"],
+        ["psi", "--e", "1", "--charges", "0,1", "--bipartition", "1|1"],
+        ["crystal-export", "--e", "1", "--max-n", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "mullineux: error: modulus must be >= 2, got 1" in err, argv
     assert run_cli(capsys, "mull", "--e", "3", "--lambda", "1,1,1")[0] == 1  # not regular
     assert run_cli(capsys, "mull", "--e", "3")[0] == 1  # missing --lambda
 
@@ -363,9 +371,9 @@ def test_psi_inverse_to_dominant(capsys):
 
 
 def test_psi_charge_order(capsys):
-    code, _, err = run_cli(capsys, "psi", "--e", "3", "--charges", "4,0", "--bipartition=-|-")
-    assert code == 1
-    assert "s1 <= s2" in err
+    code, out, err = run_cli(capsys, "psi", "--e", "3", "--charges", "4,0", "--bipartition=-|-")
+    assert (code, out) == (1, "")
+    assert "mullineux: error: charges must satisfy s1 <= s2" in err
 
 
 def test_psi_charges_need_two_ints(capsys):
@@ -486,6 +494,15 @@ def test_crystal_export_vertex_count(capsys):
     doc = get_json(out)
     expected = sum(len(list(enumerate_e_regular(n, 3))) for n in range(5))
     assert len(doc["results"]["vertices"]) == expected
+
+
+def test_crystal_export_rank_bound(capsys):
+    bound = cli.MAX_EXPORT_RANK
+    code, out, err = run_cli(capsys, "crystal-export", "--e", "2", "--max-n", str(bound + 1))
+    assert (code, out) == (1, "")
+    assert f"mullineux: error: --max-n {bound + 1} exceeds MAX_EXPORT_RANK = {bound}" in err
+    code, out, _ = run_cli(capsys, "crystal-export", "--e", "2", "--max-n", str(bound), "--format", "json")
+    assert code == 0 and get_json(out)["parameters"]["max_n"] == bound
 
 
 def test_crystal_export_dot(capsys):

@@ -218,12 +218,17 @@ def test_stopped_towers_give_the_full_towers_document(monkeypatch):
     assert stopped_stages < sum(stages) - stopped_stages
 
 
-def test_stopped_towers_keep_odd_stage_failures(monkeypatch):
+def odd_stage_breaking_step(inferred, modulus=None):
+    """kernels.psi_step, broken on tower pairs (at `modulus` only, if given):
+    its pairs never meet the shortcut, and from stage 3 on each odd stage
+    loses an element of the first set from the second.  It reads the stage
+    off the set sizes and appends it to `inferred`."""
     step = kernels.psi_step
-    inferred = []
 
     def broken_step(e, x1, x2):
         y1, y2 = step(e, x1, x2)
+        if modulus is not None and e != modulus:
+            return y1, y2
         # without 0 in the second set the shortcut never holds; a new top
         # element keeps |y2| = |x2| + e, as the closed-form step does
         y2 = y2 & (y2 - 1) | 1 << y2.bit_length()
@@ -235,7 +240,12 @@ def test_stopped_towers_keep_odd_stage_failures(monkeypatch):
             y2 = y2 ^ 1 << top | 1 << y2.bit_length()
         return y1, y2
 
-    monkeypatch.setattr(kernels, "psi_step", broken_step)
+    return broken_step
+
+
+def test_stopped_towers_keep_odd_stage_failures(monkeypatch):
+    inferred = []
+    monkeypatch.setattr(kernels, "psi_step", odd_stage_breaking_step(inferred))
     tower = engine._tower
     towers = []
 
@@ -537,15 +547,16 @@ def test_cross_validate_counts_depth_exceeded():
 
 def test_stopped_tower_ends_where_the_walk_at_modulus_e_ends():
     # the walk of (lam, lam) at modulus e from bicharge (0, 0) takes the steps
-    # of lam's tower, which stops at the shortcut well before this cap
+    # of lam's tower, which meets the shortcut within the cap cross-validate gives it
     checked = 0
     for e in range(2, 6):
         for n in range(1, 23):
             for lam, x in enumerate_e_regular_bits(n, e):
-                _, x1, x2, _ = engine._tower(e, x, 2 * n // e + 3, True)[-1]
+                _, x1, x2, _ = engine._tower(e, x, betamaps.stable_shift((0, 0), n, e), True)[-1]
                 assert betamaps.shortcut_on_beta_sets(x1, x2), (lam, e)
-                walk = engine._diagonal_walk(e, 0, x)
-                assert (minimal_beta_set(x1), minimal_beta_set(x2)) == walk, (lam, e)
+                y1, y2 = betamaps.psi_tilde_beta_sets(e, (0, 0), (x, x))
+                end = minimal_beta_set(x1), minimal_beta_set(x2)
+                assert end == (minimal_beta_set(y1), minimal_beta_set(y2)), (lam, e)
                 checked += 1
     assert checked == 7516
 
@@ -755,16 +766,19 @@ def test_broken_stage_one_step_is_an_error(monkeypatch):
 
 
 def test_walk_disagreement_is_an_isomorphism_mismatch(monkeypatch):
-    # (4,1) is not a 3-core, so the walk at modulus 6 is the one the recursion took
-    walk = engine._diagonal_walk
+    # (4,1) is not a 3-core, so the walk at modulus 6 is the one the recursion
+    # took; the walk at modulus 3 is the tower's last row
+    tower = engine._tower
     x = beta_bits((4, 1), 2)
 
-    def wrong_at_e(e, s2, y):
-        if (e, s2, y) == (3, 0, x):
-            return beta_bits((4,), 1), beta_bits((), 1)
-        return walk(e, s2, y)
+    def wrong_at_e(e, y, *args):
+        rows = tower(e, y, *args)
+        if (e, y) == (3, x):
+            k, _, _, inclusion = rows[-1]
+            rows[-1] = (k, beta_bits((4,), 1), beta_bits((), 1), inclusion)
+        return rows
 
-    monkeypatch.setattr(engine, "_diagonal_walk", wrong_at_e)
+    monkeypatch.setattr(engine, "_tower", wrong_at_e)
     reports = [cross_validate([2, 3], 7, jobs=jobs) for jobs in (1, 2)]
     for report in reports:
         assert report.counterexamples == [
@@ -776,4 +790,41 @@ def test_walk_disagreement_is_an_isomorphism_mismatch(monkeypatch):
                 "at_e": ["4", "-"],
             }
         ]
+    assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
+
+
+def test_cross_validate_records_odd_stage_failures_to_the_shortcut(monkeypatch):
+    # the broken kernel acts only at the sweep's modulus: the recursion steps
+    # at 6, 12, ..., so its walks are untouched, and a tower it breaks does not
+    # meet the shortcut, so it runs to stable_shift((0, 0), n, 3) = 2n // 3 + 1
+    monkeypatch.setattr(kernels, "psi_step", odd_stage_breaking_step([], modulus=3))
+    walk = betamaps.psi_tilde_beta_sets
+    moduli = []
+
+    def spied_walk(e, *args):
+        moduli.append(e)
+        if e == 3:
+            # with the broken kernel this walk would never meet the shortcut
+            raise AssertionError("a walk at the sweep's modulus")
+        return walk(e, *args)
+
+    monkeypatch.setattr(betamaps, "psi_tilde_beta_sets", spied_walk)
+    reports = [cross_validate([3], 16, jobs=jobs) for jobs in (1, 2)]
+    # the spy sees the serial run only
+    assert moduli and set(moduli) <= {6, 12, 24, 48}
+    failures = reports[0].counterexamples
+    assert {c["kind"] for c in failures} == {"inclusion_failure", "isomorphism_mismatch"}
+    inclusion = [c for c in failures if c["kind"] == "inclusion_failure"]
+    # stage 11 lies past verify-conjecture's default cap of 9
+    assert {c["k"] for c in inclusion} == {3, 5, 7, 11}
+    # the conjecture sweep's records, to each rank's cap, with the kind added
+    rank = {format_partition(lam): n for n in range(17) for lam in enumerate_e_regular(n, 3)}
+    expected = [
+        {"e": 3, "partition": c["partition"], "kind": "inclusion_failure", **c}
+        for c in sweep_conjecture([3], 16, 11).counterexamples
+        if c["k"] <= 2 * rank[c["partition"]] // 3 + 1
+    ]
+    assert json.dumps(inclusion) == json.dumps(expected)
+    for report in reports:
+        assert report.counterexamples == failures
     assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
