@@ -28,12 +28,14 @@ The walks and the kernels hold a beta-set as an int bitset, bit b set
 iff b is a bead (see mullineux._core.kernels), so padding is a shift
 and an or, and the shortcut is a few big-int operations: the largest
 bead of the first set must lie in the staircase run 0, 1, ... that
-starts the second (shortcut_on_beta_sets).  The public entry points
-keep the tuple form: psi_step and psi_step_inverse take and return
-strictly increasing tuples, psi_bipartition* and psi_tilde* take and
-return bipartitions, and encode_bipartition and decode_bipartition work
-on tuple pairs.  Each converts at the boundary with pair_to_bits, which
-refuses a malformed set, and pair_from_bits or decode_bits.
+starts the second (shortcut_on_beta_sets; shortcut_applies runs it on
+the encoded bipartition).  The public entry points keep the tuple form:
+psi_step and psi_step_inverse take and return strictly increasing
+tuples, psi_bipartition* and psi_tilde* take and return bipartitions,
+and encode_bipartition and decode_bipartition work on tuple pairs.  Each
+converts at the boundary with pair_to_bits, which refuses a malformed
+set, and pair_from_bits or decode_bits, which decodes a bitset pair
+straight to partitions (partitions.partition_from_bits).
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
 (commuting with the charged operators of the level-2 crystal, which the
@@ -53,6 +55,7 @@ from mullineux.partitions import (
     minimal_beta_set,
     pad_beta_set,
     partition_from_beta_set,
+    partition_from_bits,
 )
 
 Bipartition = tuple[Partition, Partition]
@@ -139,7 +142,7 @@ def decode_bipartition(pair: BetaPair) -> Bipartition:
 
 def decode_bits(pair: BitPair) -> Bipartition:
     """The bipartition a bitset pair encodes, at whatever bicharge and padding."""
-    return decode_bipartition(pair_from_bits(pair))
+    return partition_from_bits(pair[0]), partition_from_bits(pair[1])
 
 
 def psi_bipartition(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
@@ -151,9 +154,7 @@ def psi_bipartition(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    x1, x2 = encode_bipartition(blam, s)
-    y1, y2 = psi_step(e, x1, x2)
-    return partition_from_beta_set(y1), partition_from_beta_set(y2)
+    return decode_bipartition(psi_step(e, *encode_bipartition(blam, s)))
 
 
 def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
@@ -165,9 +166,8 @@ def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartiti
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    y1, y2 = encode_bipartition(blam, (s1, s2 + e), minimal_padding(blam, s))
-    x1, x2 = psi_step_inverse(e, y1, y2)
-    return partition_from_beta_set(x1), partition_from_beta_set(x2)
+    pair = encode_bipartition(blam, (s1, s2 + e), minimal_padding(blam, s))
+    return decode_bipartition(psi_step_inverse(e, *pair))
 
 
 def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
@@ -176,11 +176,10 @@ def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
     With h one more than the number of parts of the second component, the
     test is lam1_1 - 1 + s1 <= s2 - h.  It forces the first beta-set inside
     the staircase run of the second at every padding, hence the identity at
-    this and at all larger charge gaps.
+    this and at all larger charge gaps: shortcut_on_beta_sets on blam
+    encoded at s.
     """
-    first = blam[0][0] if blam[0] else 0
-    h = len(blam[1]) + 1
-    return first - 1 + s[0] <= s[1] - h
+    return shortcut_on_beta_sets(*pair_to_bits(encode_bipartition(blam, s)))
 
 
 def shortcut_on_beta_sets(x1: int, x2: int, shift: int = 0) -> bool:

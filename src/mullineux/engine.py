@@ -29,15 +29,16 @@ components, which must agree.  Conjugation of e-cores is the base case.
 
 Both the towers and the recursion hold a beta-set as an int bitset, bit
 b set iff b is a bead (see mullineux._core.kernels).  The recursion works
-on beta-sets at minimal padding, the bitset of beta_set(lam,
-max(1, len(lam))), from end to end: a partition is encoded once on entry,
-the regularity and e-core tests and the base case's conjugation read the
-bitset, the walks (betamaps.psi_tilde_beta_sets) take and return bitset
-pairs, and the children get the forward walk's pair trimmed back to
-minimal padding.  A MullineuxTrace stores those bitsets and decodes its
-partition fields only when they are read, for error text, to_dict and
-the top-level image.  The sweeps decode only what a report prints: a
-tower failure's missing beads, and a mismatch's or an error's partitions.
+on beta-sets at minimal padding (partitions.minimal_bits) from end to end:
+a partition is encoded once on entry, the regularity and e-core tests and
+the base case's conjugation read the bitset, the walks
+(betamaps.psi_tilde_beta_sets) take and return bitset pairs, and the
+children get the forward walk's pair trimmed back to minimal padding.  A
+MullineuxTrace stores those bitsets and decodes its partition fields
+(partitions.partition_from_bits) only when they are read, for error
+text, to_dict and the top-level image.  The sweeps decode only what a
+report prints: a tower failure's missing beads, and a mismatch's or an
+error's partitions.
 conjecture_tower keeps the tuple form for its callers and runs the
 bitset tower the sweep calls, _tower.
 
@@ -114,8 +115,7 @@ from mullineux._core import kernels
 from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError, check_modulus
 from mullineux.partitions import (
     Partition,
-    beta_bits,
-    beta_set,
+    beta_set,  # unused here; bench/layers.py wraps it on this module
     beta_set_from_bits,
     beta_set_is_e_core,
     beta_set_is_e_regular,
@@ -125,27 +125,16 @@ from mullineux.partitions import (
     enumerate_e_regular,  # unused here; bench/layers.py wraps it on this module
     enumerate_e_regular_bits,
     format_partition,
-    is_e_regular,
     minimal_beta_set,
+    minimal_bits,
     pad_beta_set,
-    partition_from_beta_set,
+    partition_from_bits,
     unrestricted_modulus,
 )
 from mullineux.schema import SCHEMA_VERSION
 
 Bits = int
 BitPair = tuple[Bits, Bits]
-
-
-def _encode(lam: Partition) -> Bits:
-    """The bitset of lam's beta-set at minimal padding, the form the
-    recursion and the towers start from."""
-    return beta_bits(lam, max(1, len(lam)))
-
-
-def _partition(x: Bits) -> Partition:
-    """The partition a bitset beta-set encodes."""
-    return partition_from_beta_set(beta_set_from_bits(x))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +327,7 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
         # holding a chunk of the largest buckets at the end
         order = sorted(range(len(tasks)), key=lambda i: grid[i][1], reverse=True)
         results = [None] * len(tasks)
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
             ranked = pool.imap(_bucket, [tasks[i] for i in order], chunksize=1)
             for i, result in zip(order, ranked):
                 results[i] = result
@@ -370,7 +359,7 @@ def _odd_stage_failures(
                     "e": e,
                     "partition": format_partition(lam),
                     **kind,
-                    "beta_set": list(beta_set(lam, max(1, len(lam)))),
+                    "beta_set": list(beta_set_from_bits(minimal_bits(lam))),
                     "k": k,
                     "missing": list(beta_set_from_bits(x1 & ~x2)),
                 }
@@ -436,11 +425,11 @@ class MullineuxTrace(
 
     @property
     def partition(self) -> Partition:
-        return _partition(self.beta)
+        return partition_from_bits(self.beta)
 
     @property
     def image(self) -> Partition | None:
-        return None if self.image_beta is None else _partition(self.image_beta)
+        return None if self.image_beta is None else partition_from_bits(self.image_beta)
 
     @property
     def mu_beta(self) -> BitPair | None:
@@ -503,7 +492,7 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     """The recursion at one node, on the bitset x of lam's beta-set at minimal padding."""
     if not beta_set_is_e_regular(x, e):
         # only reachable below the top level; the top-level call pre-checks
-        lam = _partition(x)
+        lam = partition_from_bits(x)
         raise ConjectureViolationError(
             f"intermediate component {lam} is not {e}-regular",
             partition=lam,
@@ -513,9 +502,9 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     if beta_set_is_e_core(x, e):
         return MullineuxTrace(e, x, True, conjugate_beta_set(x))
     if depth >= depth_limit:
-        lam = _partition(x)
+        lam = partition_from_bits(x)
         if oracle_fallback:
-            image = _encode(kernels.mullineux(lam, e))
+            image = minimal_bits(kernels.mullineux(lam, e))
             return MullineuxTrace(e, x, False, image, oracle_fallback=True)
         raise DepthExceededError(
             f"depth limit {depth_limit} reached at modulus {e} on {lam}",
@@ -526,7 +515,7 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     try:
         mu = _diagonal_walk(e, x)
     except ValueError as exc:
-        lam = _partition(x)
+        lam = partition_from_bits(x)
         raise ConjectureViolationError(
             f"isomorphism walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
@@ -541,7 +530,7 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     try:
         back = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (child1.image_beta, child2.image_beta), True)
     except ValueError as exc:
-        lam = _partition(x)
+        lam = partition_from_bits(x)
         raise ConjectureViolationError(
             f"inverse walk failed at modulus {e} on {lam}: {exc}",
             partition=lam,
@@ -551,7 +540,7 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     nu = minimal_beta_set(back[0]), minimal_beta_set(back[1])
     if nu[0] != nu[1]:
         trace = MullineuxTrace(e, x, False, None, children, nu)
-        lam = _partition(x)
+        lam = partition_from_bits(x)
         raise ConjectureViolationError(
             f"pulled-back components disagree at modulus {e} on {lam}: {trace.nu[0]} != {trace.nu[1]}",
             partition=lam,
@@ -582,11 +571,12 @@ def mullineux_conjectural(
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     check_rank(lam)
-    if not is_e_regular(lam, e):
+    x = minimal_bits(lam)
+    if not beta_set_is_e_regular(x, e):
         raise NotRegularError(f"{lam} is not {e}-regular")
     # the top level bypasses the memo: a sweep checks each partition once, so
     # its entry would never be hit and would only push out a child's entry
-    trace = _node(_encode(lam), e, 0, depth_limit, oracle_fallback)
+    trace = _node(x, e, 0, depth_limit, oracle_fallback)
     return trace.image, trace
 
 

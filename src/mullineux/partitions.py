@@ -5,14 +5,12 @@ trailing zeros (the empty tuple is the unique partition of 0).  Everything
 here is pure and allocation-light; the hot crystal kernels build on these
 conventions but live in mullineux._core.
 
-A beta-set has two forms.  The public one is a strictly increasing tuple
-of nonnegative ints (beta_set, partition_from_beta_set).  The one the
-engine computes in is an int bitset, bit b set iff b is a bead: beta_bits
-encodes a partition straight into it, beta_set_to_bits and
-beta_set_from_bits convert between the two forms, and the helpers the
-recursion uses (pad_beta_set, minimal_beta_set, conjugate_beta_set,
-beta_set_is_e_regular, beta_set_is_e_core) take bitsets, so that
-padding, trimming and both tests are a few shifts and masks.
+A beta-set is computed as an int bitset, bit b set iff b is a bead, and
+each conversion and test is written once, on it: beta_bits and
+minimal_bits encode a partition, partition_from_bits decodes one, and
+padding, trimming, conjugation and both tests are a few shifts and masks.
+The tuple forms (beta_set, partition_from_beta_set, conjugate,
+is_e_regular, is_e_core) convert at the boundary and call these.
 
 One enumerator, enumerate_e_regular_bits, builds the partitions in one
 frame and carries their bitsets; the other enumerators read it.
@@ -20,7 +18,8 @@ frame and carries their bitsets; the other enumerators read it.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, count, product
+from operator import add
 from typing import Iterable, Iterator
 
 from mullineux.errors import PartitionTooLargeError, check_modulus
@@ -91,28 +90,15 @@ def format_partition(lam: Partition) -> str:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram (an involution).
-
-    Built from the part differences: lam_i - lam_{i+1} columns have length
-    i, so the cost is O(lam_1 + rows), not one step per node.
-    """
-    out: list[int] = []
-    below = 0
-    for i in range(len(lam), 0, -1):
-        out += [i] * (lam[i - 1] - below)
-        below = lam[i - 1]
-    return tuple(out)
+    """Transpose of the Young diagram (an involution), by conjugate_beta_set;
+    linear in lam_1 + rows, not one step per node."""
+    return partition_from_bits(conjugate_beta_set(minimal_bits(lam)))
 
 
 def is_e_regular(lam: Partition, e: int) -> bool:
     """True iff no positive part value occurs e or more times."""
     check_modulus(e)
-    run = 1
-    for i in range(1, len(lam)):
-        run = run + 1 if lam[i] == lam[i - 1] else 1
-        if run >= e:
-            return False
-    return True
+    return beta_set_is_e_regular(minimal_bits(lam), e)
 
 
 def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
@@ -121,18 +107,11 @@ def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
     Pads lam with zeros up to the requested length, which must be at least
     the number of parts.  The result always has exactly `length` elements.
     """
-    r = len(lam)
-    if length < r:
-        raise ValueError(f"beta-set length {length} < number of parts {r}")
-    out = list(range(length - r))  # staircase of the zero tail
-    for j in range(r, 0, -1):
-        out.append(lam[j - 1] - j + length)
-    return tuple(out)
+    return beta_set_from_bits(beta_bits(lam, length))
 
 
 def beta_bits(lam: Partition, length: int) -> int:
-    """The bitset of beta_set(lam, length), bit b set iff b is a bead, built
-    without the tuple."""
+    """The bitset of beta_set(lam, length), bit b set iff b is a bead."""
     r = len(lam)
     if length < r:
         raise ValueError(f"beta-set length {length} < number of parts {r}")
@@ -142,24 +121,41 @@ def beta_bits(lam: Partition, length: int) -> int:
     return bits
 
 
+def minimal_bits(lam: Partition) -> int:
+    """The bitset of lam's beta-set at minimal padding, beta_set(lam,
+    max(1, len(lam))): the form the recursion and the towers start from."""
+    return beta_bits(lam, max(1, len(lam)))
+
+
 def partition_from_beta_set(bset: Iterable[int]) -> Partition:
-    """Inverse of beta_set: decode a strictly increasing set of nonnegative ints."""
-    desc = sorted(bset, reverse=True)
-    L = len(desc)
-    parts = []
-    for j, d in enumerate(desc, start=1):
-        if d < 0 or (j < L and desc[j] == d):
-            raise ValueError("beta-set must be a set of distinct nonnegative integers")
-        p = d + j - L
-        if p > 0:
-            parts.append(p)
+    """Inverse of beta_set: decode a set of distinct nonnegative ints, in any order."""
+    try:
+        x = beta_set_to_bits(sorted(bset))
+    except ValueError:
+        raise ValueError("beta-set must be a set of distinct nonnegative integers") from None
+    return partition_from_bits(x)
+
+
+def partition_from_bits(x: int) -> Partition:
+    """The partition a bitset beta-set encodes: a bead's part is the number
+    of gaps below it, and the beads with none are zero parts."""
+    # reversed as a list: a tuple built from the iterator, then reversed,
+    # left cross_validate's peak RSS about 1 MiB higher
+    parts = list(filter(None, _gaps_below(x)))
+    parts.reverse()
     return tuple(parts)
+
+
+def _gaps_below(x: int) -> Iterator[int]:
+    """The number of gaps below each bead of x, lowest bead first, in one
+    pass over bin(x): split at the beads, it is the runs of gaps."""
+    return accumulate(map(len, bin(x)[:1:-1].split("1")[:-1]))
 
 
 def is_e_core(lam: Partition, e: int) -> bool:
     """True iff no hook length of lam is divisible by e."""
     check_modulus(e)
-    return beta_set_is_e_core(beta_bits(lam, max(1, len(lam))), e)
+    return beta_set_is_e_core(minimal_bits(lam), e)
 
 
 def beta_set_to_bits(x: Iterable[int]) -> int:
@@ -181,13 +177,9 @@ def beta_set_to_bits(x: Iterable[int]) -> int:
 
 
 def beta_set_from_bits(x: int) -> tuple[int, ...]:
-    """The tuple form of a bitset beta-set: its beads, increasing."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return tuple(out)
+    """The tuple form of a bitset beta-set: its beads, increasing; a bead
+    sits at the gaps below it plus the beads below it."""
+    return tuple(map(add, _gaps_below(x), count()))
 
 
 def pad_beta_set(x: int, length: int) -> int:

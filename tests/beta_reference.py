@@ -3,8 +3,9 @@
 The package holds a beta-set as an int bitset (bit b set iff b is a bead)
 everywhere it computes.  These are the tuple versions it ran before:
 the greedy matching step and its inverse, with a bisection per element,
-and the five helpers the recursion uses.  The tests check the bitset
-kernels and helpers against them.
+the five helpers the recursion uses, and the beta-set formula and its
+sorted decoder.  The tests check the bitset kernels, helpers and codec
+against them.
 """
 
 from bisect import bisect_left, bisect_right
@@ -146,3 +147,19 @@ def beta_set_is_e_core(x: tuple[int, ...], e: int) -> bool:
     """
     beads = set(x)
     return all(b < e or b - e in beads for b in x)
+
+
+def beta_set(lam, length):
+    """The formula {lam_j - j + length : 1 <= j <= length}, lam padded with zeros."""
+    if length < len(lam):
+        raise ValueError(f"beta-set length {length} < number of parts {len(lam)}")
+    parts = [*lam, *[0] * (length - len(lam))]
+    return tuple(sorted(parts[j - 1] - j + length for j in range(1, length + 1)))
+
+
+def partition_from_beta_set(bset):
+    """The sorted decoder: with d_1 > d_2 > ... > d_L the beads, part_j = d_j + j - L."""
+    desc = sorted(bset, reverse=True)
+    L = len(desc)
+    parts = [d + j - L for j, d in enumerate(desc, start=1)]
+    return tuple(p for p in parts if p > 0)

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ENGINE = "src/mullineux/engine.py"
 ENGINE_TESTS = "tests/test_engine.py"
+PARTITIONS = "src/mullineux/partitions.py"
+PARTITIONS_TESTS = "tests/test_partitions.py"
 
 # (name, file, old text, new text, test file that kills it)
 MUTANTS = [
@@ -72,6 +74,15 @@ MUTANTS = [
      "    return (x2 ^ (x2 + 1)) >> (x1.bit_length() + shift + 1) != 0", "tests/test_betamaps.py"),
     ("mull-disagreement-exits-zero", "src/mullineux/cli.py",
      '            if not doc["results"]["agree"]:', "            if False:", "tests/test_cli.py"),
+    # the codec: the symbol check reads the image these decode
+    ("decoder-keeps-zero-parts", PARTITIONS,
+     "    parts = list(filter(None, _gaps_below(x)))", "    parts = list(_gaps_below(x))", PARTITIONS_TESTS),
+    ("minimal-bits-one-bead-too-many", PARTITIONS,
+     "    return beta_bits(lam, max(1, len(lam)))", "    return beta_bits(lam, max(1, len(lam)) + 1)",
+     PARTITIONS_TESTS),
+    ("regularity-pre-check-dropped", ENGINE,
+     "    if not beta_set_is_e_regular(x, e):\n        raise NotRegularError",
+     "    if False:\n        raise NotRegularError", ENGINE_TESTS),
 ]
 
 # mutants no test can kill, each with the reason

@@ -463,14 +463,20 @@ def test_step_after_the_shortcut_is_an_inclusion_that_keeps_it(pair, e):
 
 
 def test_shortcut_on_beta_sets_matches_shortcut_applies():
-    # forward pairs are read at the stage, inverse pairs at the bicharge above it
+    # shortcut_applies calls shortcut_on_beta_sets, so both answer to the
+    # published inequality lam1_1 - 1 + s1 <= s2 - h, h one more than the
+    # second component's part count; forward pairs are read at the stage,
+    # inverse pairs at the bicharge above it
     for n in range(8):
         for blam in enumerate_bipartitions(n):
+            first = blam[0][0] if blam[0] else 0
+            h = len(blam[1]) + 1
             for e in (2, 3):
                 for s1 in (0, -2):
                     for gap in range(2 * n + e + 1):
                         s = (s1, s1 + gap)
-                        expected = shortcut_applies(blam, s)
+                        expected = first - 1 + s1 <= s1 + gap - h
+                        assert shortcut_applies(blam, s) == expected, (blam, s)
                         up = (s1, s1 + gap + e)
                         m = minimal_padding(blam, s)
                         for pad in range(m, m + 4):

@@ -598,11 +598,11 @@ def test_bucket_labels_in_grid_order(jobs):
 
 
 def test_pool_gets_larger_ranks_first(monkeypatch):
-    submitted = []
+    submitted, workers = [], []
 
     class SerialPool:
         def __init__(self, processes):
-            pass
+            workers.append(processes)
 
         def __enter__(self):
             return self
@@ -626,6 +626,10 @@ def test_pool_gets_larger_ranks_first(monkeypatch):
     assert pooled.depth_exceeded > 0
     assert pooled.to_document() == serial.to_document()
     assert list(pooled.timings) == list(serial.timings)
+    assert workers == [2]
+    # never more workers than buckets: e = 2 at ranks 0..2 is three buckets
+    assert cross_validate([2], 2, jobs=8).to_document() == cross_validate([2], 2).to_document()
+    assert workers == [2, 3]
 
 
 def test_serial_runs_load_no_pool_or_dataclass_machinery():

@@ -1,11 +1,13 @@
 """Partition combinatorics against independent oracles.
 
-The e-core test is checked against explicit hook lengths, and the
-enumerators against a separately written generator, the recursive
-enumerator the package ran before (tests/enumerate_reference.py) and a DP
-count.
+The e-core test is checked against explicit hook lengths, regularity
+against part multiplicities, the beta-set codec against the formula and
+the sorted decoder (tests/beta_reference.py), and the enumerators against
+a separately written generator, the recursive enumerator the package ran
+before (tests/enumerate_reference.py) and a DP count.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -34,9 +36,11 @@ from mullineux.partitions import (
     is_e_regular,
     format_partition,
     minimal_beta_set,
+    minimal_bits,
     pad_beta_set,
     parse_partition,
     partition_from_beta_set,
+    partition_from_bits,
 )
 
 import beta_reference
@@ -64,6 +68,10 @@ def hook_lengths(lam):
 
 def is_e_core_by_hooks(lam, e):
     return all(h % e != 0 for h in hook_lengths(lam))
+
+
+def is_e_regular_by_multiplicities(lam, e):
+    return all(m < e for m in Counter(lam).values())
 
 
 def partitions_by_smallest_part(n, least=1):
@@ -127,6 +135,9 @@ def test_partition_from_beta_set_pinned():
     assert partition_from_beta_set(range(9)) == ()
     with pytest.raises(ValueError):
         partition_from_beta_set((3, 3))
+    for bad in ((3, 3), (2, -1), (0.5,)):
+        with pytest.raises(ValueError, match="beta-set must be a set of distinct nonnegative integers"):
+            partition_from_beta_set(bad)
 
 
 def test_enumeration_pinned():
@@ -256,13 +267,50 @@ def cell_by_cell_conjugate(lam):
 
 
 def test_beta_set_checks_match_the_partition_checks():
+    # the tuple checks call the bitset ones, so both answer to definitions
+    # that run neither: part multiplicities and hook lengths
     for lam in partitions_up_to(20):
         minimal = beta_bits(lam, max(1, len(lam)))
         for e in range(2, 8):
+            regular, core = is_e_regular_by_multiplicities(lam, e), is_e_core_by_hooks(lam, e)
+            assert is_e_regular(lam, e) == regular and is_e_core(lam, e) == core, (lam, e)
             # a padded set starts with a staircase run longer than e
             for x in (minimal, beta_bits(lam, len(lam) + e + 1)):
-                assert beta_set_is_e_regular(x, e) == is_e_regular(lam, e), (lam, e, x)
-                assert beta_set_is_e_core(x, e) == is_e_core(lam, e), (lam, e, x)
+                assert beta_set_is_e_regular(x, e) == regular, (lam, e, x)
+                assert beta_set_is_e_core(x, e) == core, (lam, e, x)
+
+
+WIDE = ((10000,), (1,) * 10000, tuple(range(140, 0, -1)))  # one row, one column, the staircase
+
+
+def check_codec(lam, length):
+    """Every encoder and decoder of lam at one length, against the formula and the sorted decoder."""
+    x = beta_reference.beta_set(lam, length)
+    bits = beta_set_to_bits(x)
+    assert beta_set(lam, length) == x
+    assert bits == beta_bits(lam, length)
+    assert beta_set_from_bits(bits) == x
+    assert partition_from_bits(bits) == lam == beta_reference.partition_from_beta_set(x)
+    assert partition_from_beta_set(x) == lam
+    assert partition_from_beta_set(reversed(x)) == lam  # any order
+
+
+def test_codec_matches_the_formula_and_the_sorted_decoder():
+    for lam in partitions_up_to(20):
+        minimal = max(1, len(lam))
+        assert minimal_bits(lam) == beta_set_to_bits(beta_reference.beta_set(lam, minimal)), lam
+        for length in (minimal, len(lam) + 1, len(lam) + 4, len(lam) + 9):
+            check_codec(lam, length)
+    assert partition_from_bits(0) == () and beta_set_from_bits(0) == ()
+
+
+def test_codec_on_wide_beta_sets():
+    for lam in WIDE:
+        assert minimal_bits(lam) == beta_set_to_bits(beta_reference.beta_set(lam, len(lam)))
+        for length in (len(lam), len(lam) + 3):
+            check_codec(lam, length)
+        assert is_e_regular(lam, 2) == is_e_regular_by_multiplicities(lam, 2)
+    assert conjugate(WIDE[0]) == WIDE[1] and conjugate(WIDE[1]) == WIDE[0]
 
 
 def test_bitset_helpers_match_the_tuple_references():
