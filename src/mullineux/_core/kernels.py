@@ -1,10 +1,10 @@
 """Crystal and beta-set kernels.
 
-These are the inner loops of the sweep harnesses: rank-one crystal moves on
-partitions, full residue-path stripping and replay, the Mullineux map they
-compose to (Kleshchev's algorithm), Mullineux's e-rim symbol and its dual,
-which cross-validation checks an image against, and the greedy beta-set
-matching step.  Callers look the functions up on this module at call time
+These are the inner loops of the sweep harnesses: the row scans of the
+crystal moves, the Mullineux map they compose to (Kleshchev's algorithm),
+Mullineux's e-rim symbol and its dual, which cross-validation checks an
+image against, and the greedy beta-set matching step.  Callers, level1's
+moves among them, look the functions up on this module at call time
 (kernels.psi_step(...)), so a wrapper installed on a module attribute sees
 every call.
 
@@ -14,9 +14,8 @@ in 0..e-1, rows are 1-based, and the modulus is at least 2.  The bitset
 is the one form the engine computes beta-sets in: a step's shift,
 staircase, subset test and match are single big-int operations, and a
 memo key is one int.  The kernels take and return bitsets and check only
-the size contract; betamaps converts the tuple form of its public entry
-points at the boundary (partitions.beta_set_to_bits, which refuses a
-set that is not strictly increasing and nonnegative).
+the size contract; betamaps encodes and decodes at its public entry
+points.
 Signature words read the diagram from the bottom row up, so the word
 starts at the largest row index.
 
@@ -27,10 +26,9 @@ keeps the rows of the uncancelled addable nodes of one residue
 (_add_string).  Adding or removing a j-node changes no other j-letter of
 the word, so one scan serves a whole i-string: Kleshchev's algorithm
 strips e_j^max at a time and replays each negated string (-j, q) as
-f_{-j}^q, one scan per string instead of one per node.
+f_{-j}^q, one scan per string instead of one per node.  level1 builds
+the rank-one moves, path stripping and replay from the same scans.
 """
-
-from itertools import groupby
 
 from mullineux.errors import check_modulus
 
@@ -101,24 +99,6 @@ def _add_string(rows, j, q, e):
     return True
 
 
-def f_tilde(parts, j, e):
-    """Add the good addable j-node, or None when there is none."""
-    check_modulus(e)
-    rows = list(parts)
-    return tuple(rows) if _add_string(rows, j, 1, e) else None
-
-
-def e_tilde(parts, j, e):
-    """Remove the good removable j-node, or None when there is none."""
-    check_modulus(e)
-    found = _open_removable(parts, e)[j]
-    if not found:
-        return None
-    rows = list(parts)
-    _remove_nodes(rows, found[:1])
-    return tuple(rows)
-
-
 def _first_open_string(rows, e):
     """(j, rows) of the smallest residue j with an uncancelled removable
     j-node and the rows of all of them, or None when there is none."""
@@ -126,28 +106,6 @@ def _first_open_string(rows, e):
         if found:
             return j, found
     return None
-
-
-def strip_residues(parts, e):
-    """Greedily strip good removable nodes down to the empty partition.
-
-    At each step the smallest residue with a good removable node is taken,
-    and only that node is removed, so the path is the canonical one that
-    good_removable over residues 0..e-1 gives, one node at a time.  Returns
-    the residues in removal order, or None if the process stalls early (the
-    partition is not e-regular).
-    """
-    check_modulus(e)
-    rows = list(parts)
-    out = []
-    while rows:
-        string = _first_open_string(rows, e)
-        if string is None:
-            return None
-        j, found = string
-        _remove_nodes(rows, found[:1])
-        out.append(j)
-    return tuple(out)
 
 
 def _replay_strings(strings, e):
@@ -158,16 +116,6 @@ def _replay_strings(strings, e):
         if not _add_string(rows, j, q, e):
             return None
     return tuple(rows)
-
-
-def replay(residues, e):
-    """Apply f_tilde for each residue in the given order, starting from ().
-
-    Runs of equal residues are applied as one string f_j^q.  Returns None
-    as soon as a step is undefined.
-    """
-    check_modulus(e)
-    return _replay_strings(((j, len(list(run))) for j, run in groupby(residues)), e)
 
 
 def mullineux(parts, e):

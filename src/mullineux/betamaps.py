@@ -29,13 +29,12 @@ iff b is a bead (see mullineux._core.kernels), so padding is a shift
 and an or, and the shortcut is a few big-int operations: the largest
 bead of the first set must lie in the staircase run 0, 1, ... that
 starts the second (shortcut_on_beta_sets; shortcut_applies runs it on
-the encoded bipartition).  The public entry points keep the tuple form:
-psi_step and psi_step_inverse take and return strictly increasing
-tuples, psi_bipartition* and psi_tilde* take and return bipartitions,
-and encode_bipartition and decode_bipartition work on tuple pairs.  Each
-converts at the boundary with pair_to_bits, which refuses a malformed
-set, and pair_from_bits or decode_bits, which decodes a bitset pair
-straight to partitions (partitions.partition_from_bits).
+the encoded bipartition).  Each public entry point converts once and
+calls one kernel: a bipartition is encoded straight to a bitset pair
+(encode_bits) and decoded straight back (decode_bits), and only
+psi_step and psi_step_inverse, which take and return strictly increasing
+tuples, go through pair_to_bits, which refuses a malformed set.
+encode_bipartition and decode_bipartition give the tuple form.
 
 All maps here are total on beta-sets / bipartitions; their crystal meaning
 (commuting with the charged operators of the level-2 crystal, which the
@@ -49,7 +48,8 @@ from mullineux._core import kernels
 from mullineux.errors import ChargeOrderError, NotInImageError, SizeOrderError, check_modulus
 from mullineux.partitions import (
     Partition,
-    beta_set,
+    beta_bits,
+    beta_set,  # unused here; bench/layers.py wraps it on this module
     beta_set_from_bits,
     beta_set_to_bits,
     minimal_beta_set,
@@ -128,11 +128,16 @@ def minimal_padding(blam: Bipartition, s: Bicharge) -> int:
     return max(1 - s[0], len(blam[0]) - s[0], len(blam[1]) - s[1])
 
 
-def encode_bipartition(blam: Bipartition, s: Bicharge, m: int | None = None) -> BetaPair:
-    """Beta-set pair of blam at bicharge s with padding m (minimal by default)."""
+def encode_bits(blam: Bipartition, s: Bicharge, m: int | None = None) -> BitPair:
+    """Bitset beta-set pair of blam at bicharge s with padding m (minimal by default)."""
     if m is None:
         m = minimal_padding(blam, s)
-    return beta_set(blam[0], m + s[0]), beta_set(blam[1], m + s[1])
+    return beta_bits(blam[0], m + s[0]), beta_bits(blam[1], m + s[1])
+
+
+def encode_bipartition(blam: Bipartition, s: Bicharge, m: int | None = None) -> BetaPair:
+    """Beta-set pair of blam at bicharge s with padding m (minimal by default)."""
+    return pair_from_bits(encode_bits(blam, s, m))
 
 
 def decode_bipartition(pair: BetaPair) -> Bipartition:
@@ -149,12 +154,13 @@ def psi_bipartition(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
     """One crystal-isomorphism step on bipartitions, (s1, s2) -> (s1, s2 + e).
 
     Rank-preserving and independent of the padding of the encoding, which
-    the tests check on psi_step directly.
+    the tests check on psi_step directly.  s1 <= s2 gives |x1| <= |x2|.
     """
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    return decode_bipartition(psi_step(e, *encode_bipartition(blam, s)))
+    check_modulus(e)
+    return decode_bits(kernels.psi_step(e, *encode_bits(blam, s)))
 
 
 def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:
@@ -166,8 +172,9 @@ def psi_bipartition_inverse(e: int, s: Bicharge, blam: Bipartition) -> Bipartiti
     s1, s2 = s
     if s1 > s2:
         raise ChargeOrderError(f"bicharge must satisfy s1 <= s2, got {s}")
-    pair = encode_bipartition(blam, (s1, s2 + e), minimal_padding(blam, s))
-    return decode_bipartition(psi_step_inverse(e, *pair))
+    check_modulus(e)
+    pair = encode_bits(blam, (s1, s2 + e), minimal_padding(blam, s))
+    return decode_bits(kernels.psi_step_inverse(e, *pair))
 
 
 def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
@@ -179,7 +186,7 @@ def shortcut_applies(blam: Bipartition, s: Bicharge) -> bool:
     this and at all larger charge gaps: shortcut_on_beta_sets on blam
     encoded at s.
     """
-    return shortcut_on_beta_sets(*pair_to_bits(encode_bipartition(blam, s)))
+    return shortcut_on_beta_sets(*encode_bits(blam, s))
 
 
 def shortcut_on_beta_sets(x1: int, x2: int, shift: int = 0) -> bool:
@@ -275,8 +282,7 @@ def psi_tilde_beta_sets(
 
 def _walk(e: int, s: Bicharge, blam: Bipartition, inverse: bool) -> Bipartition:
     """psi_tilde_beta_sets on blam encoded at minimal padding, decoded."""
-    pair = pair_to_bits(encode_bipartition(blam, s))
-    return decode_bits(psi_tilde_beta_sets(e, s, pair, inverse))
+    return decode_bits(psi_tilde_beta_sets(e, s, encode_bits(blam, s), inverse))
 
 
 def psi_tilde(e: int, s: Bicharge, blam: Bipartition) -> Bipartition:

@@ -36,6 +36,10 @@ MAX_CHARGE_GAP = 2 * MAX_RANK
 # partition in range is e-regular, rank 30 gives 13.5 MB of JSON in 3-5 s
 # and rank 36 gives 54 MB in about 18 s (2-core x86-64 Xeon host)
 MAX_EXPORT_RANK = 30
+# psi --to-dominant renders every stage's beta-sets, so its output grows with
+# the square of the rank: at e = 2, (1000|-) gives 9.9 MB of JSON in 0.9 s
+# and (6000|-) 357 MB in 20 s (2-core x86-64 Xeon host)
+MAX_WALK_RANK = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,10 +231,12 @@ def cmd_psi(args) -> int:
     e = args.e
     blam = parse_bipartition(args.bipartition)
     if args.to_dominant:
+        rank = sum(blam[0]) + sum(blam[1])
+        if rank > MAX_WALK_RANK:
+            raise ValueError(f"--to-dominant: bipartition rank {rank} exceeds MAX_WALK_RANK = {MAX_WALK_RANK}")
         walked = []
-        pair = betamaps.pair_to_bits(betamaps.encode_bipartition(blam, s))
         decode = betamaps.decode_bits
-        image = decode(betamaps.psi_tilde_beta_sets(e, s, pair, args.inverse, walked))
+        image = decode(betamaps.psi_tilde_beta_sets(e, s, betamaps.encode_bits(blam, s), args.inverse, walked))
         stages = [
             (stage, decode(before), None if after is None else decode(after))
             for stage, before, after in walked

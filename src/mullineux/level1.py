@@ -6,10 +6,10 @@ from the bottom row of the diagram up (larger row index first), encoded as
 A and R, and every factor RA is cancelled.  The rightmost surviving A is
 the good addable node, the leftmost surviving R the good removable node.
 This reading order is pinned down by the known Mullineux values it has to
-reproduce; flipping it breaks them.  The kernels in mullineux._core.kernels
-read the words in this order in one scan of the rows; the word-by-word
-definition is kept with the tests (tests/crystal_reference.py), which check
-the kernels against it.
+reproduce; flipping it breaks them.  The row scans in
+mullineux._core.kernels read the words in this order in one pass; the
+word-by-word definition is kept with the tests (tests/crystal_reference.py),
+which check the moves against it.
 
 Residue paths (i_1, ..., i_n) are stored with the convention that i_n is
 applied first when replaying from the empty partition.  Negating every
@@ -23,36 +23,46 @@ every node of a string: the strip removes all uncancelled removable j-nodes
 at once (e_j^max, for the smallest residue j that has any), and the replay
 applies each negated string (-j, q) as f_{-j}^q, adding a node at each of
 the last q uncancelled addable nodes, or stalling when fewer than q are
-left.  The image does not depend on the stripping order.  replay_path
-applies runs of equal residues the same way; residue_path_to_empty still
+left.  The image does not depend on the stripping order.  The moves here
+call those scans directly, looked up on kernels at call time: replay_path
+applies runs of equal residues as strings, and residue_path_to_empty
 returns the canonical path, one node at a time.  Every entry point takes a
-modulus of at least 2.
+modulus of at least 2, and each move checks it once.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 from mullineux._core import kernels
 from mullineux.errors import NotRegularError, check_modulus
 from mullineux.partitions import Partition, check_rank, enumerate_e_regular
 
+
 def f_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Add the good addable j-node; None when the operator is undefined."""
     check_modulus(e)
-    return kernels.f_tilde(lam, j % e, e)
+    rows = list(lam)
+    return tuple(rows) if kernels._add_string(rows, j % e, 1, e) else None
 
 
 def e_tilde(lam: Partition, j: int, e: int) -> Partition | None:
     """Remove the good removable j-node; None when the operator is undefined."""
     check_modulus(e)
-    return kernels.e_tilde(lam, j % e, e)
+    found = kernels._open_removable(lam, e)[j % e]
+    if not found:
+        return None
+    rows = list(lam)
+    kernels._remove_nodes(rows, found[:1])
+    return tuple(rows)
 
 
 def replay_path(path: tuple[int, ...], e: int) -> Partition | None:
     """Replay f_tilde along a residue path from (), last entry applied first."""
     check_modulus(e)
-    return kernels.replay(tuple(j % e for j in reversed(path)), e)
+    runs = groupby(j % e for j in reversed(path))
+    return kernels._replay_strings(((j, len(list(run))) for j, run in runs), e)
 
 
 def residue_path_to_empty(lam: Partition, e: int) -> tuple[int, ...]:
@@ -64,10 +74,18 @@ def residue_path_to_empty(lam: Partition, e: int) -> tuple[int, ...]:
     stalls, which happens exactly when lam is not e-regular, and ValueError
     when e < 2.
     """
-    strip = kernels.strip_residues(lam, e)
-    if strip is None:
-        raise NotRegularError(f"{lam} is not {e}-regular")
-    return strip
+    check_modulus(e)
+    first_open_string, remove_nodes = kernels._first_open_string, kernels._remove_nodes
+    rows = list(lam)
+    path = []
+    while rows:
+        string = first_open_string(rows, e)
+        if string is None:
+            raise NotRegularError(f"{lam} is not {e}-regular")
+        j, found = string
+        remove_nodes(rows, found[:1])
+        path.append(j)
+    return tuple(path)
 
 
 def mullineux_kleshchev(lam: Partition, e: int) -> Partition:
@@ -110,7 +128,7 @@ def crystal_graph(e: int, n_max: int) -> CrystalGraph:
         if sum(lam) == n_max:
             continue
         for j in range(e):
-            image = kernels.f_tilde(lam, j, e)
+            image = f_tilde(lam, j, e)
             if image is not None:
                 edges.append((lam, j, image))
     return CrystalGraph(e, n_max, tuple(vertices), tuple(edges))

@@ -23,6 +23,7 @@ from mullineux.betamaps import (
     decode_bipartition,
     decode_bits,
     encode_bipartition,
+    encode_bits,
     minimal_padding,
     pair_from_bits,
     pair_to_bits,
@@ -369,6 +370,37 @@ def test_psi_bipartition_inverse_round_trip():
             for blam in enumerate_bipartitions(n):
                 image = psi_bipartition(e, s, blam)
                 assert psi_bipartition_inverse(e, s, image) == blam
+
+
+def test_encode_bits_matches_the_formula():
+    # the bitset encoder against the tuple formula of tests/beta_reference.py
+    for s in [(0, 0), (0, 2), (-2, 1), (-1, 3)]:
+        for n in range(9):
+            for blam in enumerate_bipartitions(n):
+                m0 = minimal_padding(blam, s)
+                assert encode_bits(blam, s) == encode_bits(blam, s, m0)
+                for m in range(m0, m0 + 4):
+                    expected = tuple(beta_reference.beta_set(lam, m + c) for lam, c in zip(blam, s))
+                    assert pair_from_bits(encode_bits(blam, s, m)) == expected, (blam, s, m)
+                    assert encode_bipartition(blam, s, m) == expected, (blam, s, m)
+
+
+def test_psi_bipartition_matches_the_tuple_composition():
+    # the steps encode straight to bitsets; the tuple steps on tuple pairs
+    # must give the same bipartitions
+    for e, s in [(2, (0, 0)), (3, (0, 2)), (3, (-1, 1)), (6, (0, 3))]:
+        for n in range(9):
+            for blam in enumerate_bipartitions(n):
+                expected = decode_bipartition(psi_step(e, *encode_bipartition(blam, s)))
+                assert psi_bipartition(e, s, blam) == expected, (e, s, blam)
+                pair = encode_bipartition(blam, (s[0], s[1] + e), minimal_padding(blam, s))
+                expected = decode_bipartition(psi_step_inverse(e, *pair))
+                assert psi_bipartition_inverse(e, s, blam) == expected, (e, s, blam)
+    for step in (psi_bipartition, psi_bipartition_inverse):
+        with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+            step(1, (0, 0), ((1,), ()))
+        with pytest.raises(ChargeOrderError):
+            step(1, (2, 0), ((1,), ()))
 
 
 def test_identity_branch_when_first_encoding_is_contained():

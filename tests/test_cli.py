@@ -407,6 +407,25 @@ def test_psi_negative_charge_needs_the_equals_form(capsys):
     assert get_json(out)["parameters"]["charges"] == [-2, 5]
 
 
+def test_psi_walk_rank_bound(capsys):
+    # a recorded walk's output grows with the square of the rank; a lone step
+    # renders one stage and is not bounded
+    bound = cli.MAX_WALK_RANK
+    blam = ((bound,), ())
+    for flags in ((), ("--inverse",)):
+        code, out, _ = run_cli(capsys, "psi", "--e", str(bound + 1), "--charges", "0,0",
+                               f"--bipartition={bound}|-", "--to-dominant", *flags)
+        assert code == 0
+        walk = psi_tilde_inverse if flags else psi_tilde
+        assert get_json(out)["results"]["image"] == cli.format_bipartition(walk(bound + 1, (0, 0), blam))
+        code, out, err = run_cli(capsys, "psi", "--e", "2", "--charges", "0,0",
+                                 f"--bipartition={bound}|1", "--to-dominant", *flags)
+        assert (code, out) == (1, "")
+        assert f"mullineux: error: --to-dominant: bipartition rank {bound + 1} exceeds MAX_WALK_RANK = {bound}" in err
+        code, out, _ = run_cli(capsys, "psi", "--e", "2", "--charges", "0,0", f"--bipartition={bound}|1", *flags)
+        assert code == 0
+
+
 PSI_GRID = [(2, (0, 0)), (3, (0, 2)), (3, (-1, 1)), (6, (0, 3))]
 
 
