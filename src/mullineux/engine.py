@@ -49,22 +49,25 @@ recursion nodes below the top level.  It is keyed on everything a node's
 outcome and its error text depend on: the partition's beta-set at minimal
 padding (one int, in one-to-one correspondence with the partition), the
 modulus, the depth (with depth_limit, the remaining depth budget),
-depth_limit and oracle_fallback.  It stores ConjectureViolationError and
-DepthExceededError outcomes as well as traces and raises them again on
-every hit, so a violation is never masked; a hit returns the very trace
-object computed first, so trace trees share subtrees instead of copying
-them, and a parent's mu is read off its children, so it holds their
-cached beta-sets rather than fresh copies and costs the trace no field.
-The top-level node of mullineux_conjectural bypasses the memo: a sweep
-checks each partition once, so a top-level entry is never hit, and each
-one would push out a child that recurs.  The memo holds MEMO_SIZE nodes,
-sized to the children's working set.  On an in-process
-cross_validate(e=2..5, n<=26), 17,508 top-level nodes have 7,915 distinct
-children.  The table gives node computations there (children computed
-plus top-level nodes) and peak RSS, both for that sweep and for one
-200-input round of bench/run.py's large-rank workload run in-process,
-against a 512-node memo that also held the top level (2-core x86-64
-host, Python 3.11, median of three processes; entries hold bitsets):
+depth_limit and oracle_fallback.  The memo is functools.lru_cache on
+_node itself, so each child is a call through it.  It holds traces only:
+a node that raises ConjectureViolationError or DepthExceededError leaves
+no entry, and a later call computes it again and raises an equal error,
+so a violation is never masked.  A hit returns the very trace object
+computed first, so trace trees share subtrees instead of copying them,
+and a parent's mu is read off its children, so it holds their cached
+beta-sets rather than fresh copies and costs the trace no field.  The
+top-level node of mullineux_conjectural bypasses the memo (it calls
+_node.__wrapped__): a sweep checks each partition once, so a top-level
+entry is never hit, and each one would push out a child that recurs.
+The memo holds MEMO_SIZE nodes, sized to the children's working set.
+On an in-process cross_validate(e=2..5, n<=26), 17,508 top-level nodes
+have 7,915 distinct children.  The table gives node computations there
+(children computed plus top-level nodes) and peak RSS, both for that
+sweep and for one 200-input round of bench/run.py's large-rank workload
+run in-process, against a 512-node memo that also held the top level
+(2-core x86-64 host, Python 3.11, median of three processes; entries
+hold bitsets):
 
     MEMO_SIZE              node computations  peak RSS, crossval  large-rank
     512, top level in it   50,052             15.1 MiB            19.3 MiB
@@ -129,6 +132,7 @@ from mullineux.partitions import (
     minimal_bits,
     pad_beta_set,
     partition_from_bits,
+    partition_text,
     unrestricted_modulus,
 )
 from mullineux.schema import SCHEMA_VERSION
@@ -284,6 +288,11 @@ class SweepReport:
         return doc
 
 
+def _failure(lam: Partition, e: int, **fields) -> dict:
+    """A failure record: e, the partition, then fields in the order given."""
+    return {"e": e, "partition": format_partition(lam), **fields}
+
+
 def _bucket(task):
     """The only loop over a bucket's partitions: run the check on each, count
     them and collect the failure dicts, recording an exception the check
@@ -296,14 +305,7 @@ def _bucket(task):
         try:
             failures.extend(check(lam, x, e, *params))
         except Exception as exc:
-            failures.append(
-                {
-                    "e": e,
-                    "partition": format_partition(lam),
-                    "kind": "error",
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            failures.append(_failure(lam, e, kind="error", detail=f"{type(exc).__name__}: {exc}"))
     return checked, failures, time.perf_counter() - start
 
 
@@ -346,7 +348,7 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
 
 
 def _odd_stage_failures(
-    lam: Partition, e: int, rows: list[tuple[int, Bits, Bits, bool]], kind: dict
+    lam: Partition, e: int, rows: list[tuple[int, Bits, Bits, bool]], **kind
 ) -> list[dict]:
     """A record per odd row of lam's tower that is not an inclusion, with
     kind's fields after the partition."""
@@ -354,23 +356,16 @@ def _odd_stage_failures(
     failures = []
     for k, x1, x2, inclusion in rows:
         if k % 2 and not inclusion:
-            failures.append(
-                {
-                    "e": e,
-                    "partition": format_partition(lam),
-                    **kind,
-                    "beta_set": list(beta_set_from_bits(minimal_bits(lam))),
-                    "k": k,
-                    "missing": list(beta_set_from_bits(x1 & ~x2)),
-                }
-            )
+            beads = list(beta_set_from_bits(minimal_bits(lam)))
+            missing = list(beta_set_from_bits(x1 & ~x2))
+            failures.append(_failure(lam, e, **kind, beta_set=beads, k=k, missing=missing))
     return failures
 
 
 def _tower_failures(lam: Partition, x: Bits, e: int, k_max: int) -> list[dict]:
     """Odd-stage failures of lam's stopped tower from its bitset x."""
     # the flag goes positionally, so a stand-in taking only *args can replace the tower
-    return _odd_stage_failures(lam, e, _tower(e, x, k_max, True), {})
+    return _odd_stage_failures(lam, e, _tower(e, x, k_max, True))
 
 
 def sweep_conjecture(
@@ -464,23 +459,6 @@ class MullineuxTrace(
 MEMO_SIZE = 1536  # recursion nodes per process; see the module docstring
 
 
-def _conjectural(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
-    """One recursion node through the memo: its trace, or the error it raised."""
-    outcome = _outcome(x, e, depth, depth_limit, oracle_fallback)
-    if isinstance(outcome, MullineuxTrace):
-        return outcome
-    # drop the traceback of the earlier raise, which would otherwise grow with every hit
-    raise outcome.with_traceback(None)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _outcome(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
-    try:
-        return _node(x, e, depth, depth_limit, oracle_fallback)
-    except (ConjectureViolationError, DepthExceededError) as exc:
-        return exc
-
-
 def _diagonal_walk(e: int, x: Bits) -> BitPair:
     """psi_tilde(2e, (0, e), (lam, lam)) for lam = the partition x encodes,
     as two bitsets at minimal padding."""
@@ -488,17 +466,21 @@ def _diagonal_walk(e: int, x: Bits) -> BitPair:
     return minimal_beta_set(y1), minimal_beta_set(y2)
 
 
+def _violation(x: Bits, e: int, before: str, after: str, *fields) -> ConjectureViolationError:
+    """The violation at the node of x: its text names lam between before and
+    after, and its trace holds the fields computed so far (children, nu)."""
+    lam = partition_from_bits(x)
+    trace = MullineuxTrace(e, x, False, None, *fields)
+    text = before + partition_text(lam) + after
+    return ConjectureViolationError(text, partition=lam, modulus=e, trace=trace)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     """The recursion at one node, on the bitset x of lam's beta-set at minimal padding."""
     if not beta_set_is_e_regular(x, e):
         # only reachable below the top level; the top-level call pre-checks
-        lam = partition_from_bits(x)
-        raise ConjectureViolationError(
-            f"intermediate component {lam} is not {e}-regular",
-            partition=lam,
-            modulus=e,
-            trace=MullineuxTrace(e, x, False, None),
-        )
+        raise _violation(x, e, "intermediate component ", f" is not {e}-regular")
     if beta_set_is_e_core(x, e):
         return MullineuxTrace(e, x, True, conjugate_beta_set(x))
     if depth >= depth_limit:
@@ -507,7 +489,7 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
             image = minimal_bits(kernels.mullineux(lam, e))
             return MullineuxTrace(e, x, False, image, oracle_fallback=True)
         raise DepthExceededError(
-            f"depth limit {depth_limit} reached at modulus {e} on {lam}",
+            f"depth limit {depth_limit} reached at modulus {e} on {partition_text(lam)}",
             partition=lam,
             modulus=e,
             depth=depth,
@@ -515,38 +497,21 @@ def _node(x: Bits, e: int, depth: int, depth_limit: int, oracle_fallback: bool):
     try:
         mu = _diagonal_walk(e, x)
     except ValueError as exc:
-        lam = partition_from_bits(x)
-        raise ConjectureViolationError(
-            f"isomorphism walk failed at modulus {e} on {lam}: {exc}",
-            partition=lam,
-            modulus=e,
-            trace=MullineuxTrace(e, x, False, None),
-        ) from exc
-    child1 = _conjectural(mu[0], 2 * e, depth + 1, depth_limit, oracle_fallback)
-    child2 = _conjectural(mu[1], 2 * e, depth + 1, depth_limit, oracle_fallback)
+        raise _violation(x, e, f"isomorphism walk failed at modulus {e} on ", f": {exc}") from exc
+    child1 = _node(mu[0], 2 * e, depth + 1, depth_limit, oracle_fallback)
+    child2 = _node(mu[1], 2 * e, depth + 1, depth_limit, oracle_fallback)
     # the trace reads mu off the children: a memo hit's beta-sets are the
     # older, cached ints, so the fresh copies in mu are let go
     children = (child1, child2)
     try:
         back = betamaps.psi_tilde_beta_sets(2 * e, (0, e), (child1.image_beta, child2.image_beta), True)
     except ValueError as exc:
-        lam = partition_from_bits(x)
-        raise ConjectureViolationError(
-            f"inverse walk failed at modulus {e} on {lam}: {exc}",
-            partition=lam,
-            modulus=e,
-            trace=MullineuxTrace(e, x, False, None, children),
-        ) from exc
+        raise _violation(x, e, f"inverse walk failed at modulus {e} on ", f": {exc}", children) from exc
     nu = minimal_beta_set(back[0]), minimal_beta_set(back[1])
     if nu[0] != nu[1]:
-        trace = MullineuxTrace(e, x, False, None, children, nu)
-        lam = partition_from_bits(x)
-        raise ConjectureViolationError(
-            f"pulled-back components disagree at modulus {e} on {lam}: {trace.nu[0]} != {trace.nu[1]}",
-            partition=lam,
-            modulus=e,
-            trace=trace,
-        )
+        nu1, nu2 = map(partition_text, betamaps.decode_bits(nu))
+        what = f"pulled-back components disagree at modulus {e} on "
+        raise _violation(x, e, what, f": {nu1} != {nu2}", children, nu)
     # the components agree, so one int serves as both and as the image
     image = nu[0]
     return MullineuxTrace(e, x, False, image, children, (image, image))
@@ -573,10 +538,10 @@ def mullineux_conjectural(
     check_rank(lam)
     x = minimal_bits(lam)
     if not beta_set_is_e_regular(x, e):
-        raise NotRegularError(f"{lam} is not {e}-regular")
+        raise NotRegularError(f"{partition_text(lam)} is not {e}-regular")
     # the top level bypasses the memo: a sweep checks each partition once, so
     # its entry would never be hit and would only push out a child's entry
-    trace = _node(x, e, 0, depth_limit, oracle_fallback)
+    trace = _node.__wrapped__(x, e, 0, depth_limit, oracle_fallback)
     return trace.image, trace
 
 
@@ -605,47 +570,31 @@ def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> lis
             oracle = kernels.mullineux(lam, e)
             if recursive != oracle:
                 failures.append(
-                    {
-                        "e": e,
-                        "partition": format_partition(lam),
-                        "kind": "mullineux_mismatch",
-                        "oracle": format_partition(oracle),
-                        "recursive": format_partition(recursive),
-                    }
+                    _failure(
+                        lam,
+                        e,
+                        kind="mullineux_mismatch",
+                        oracle=format_partition(oracle),
+                        recursive=format_partition(recursive),
+                    )
                 )
     except ConjectureViolationError as exc:
-        failures.append(
-            {
-                "e": e,
-                "partition": format_partition(lam),
-                "kind": "conjecture_violation",
-                "detail": str(exc),
-                "trace": exc.trace.to_dict() if exc.trace is not None else None,
-            }
-        )
+        trace_doc = exc.trace.to_dict() if exc.trace is not None else None
+        failures.append(_failure(lam, e, kind="conjecture_violation", detail=str(exc), trace=trace_doc))
     except DepthExceededError as exc:
-        failures.append(
-            {"e": e, "partition": format_partition(lam), "kind": "depth_exceeded", "detail": str(exc)}
-        )
+        failures.append(_failure(lam, e, kind="depth_exceeded", detail=str(exc)))
     # except at an e-core or when it raised, the recursion already walked
     # (lam, lam) at modulus 2e
     double = _diagonal_walk(e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
     # the walk at modulus e takes the tower's steps, and the tower meets the
     # shortcut by stage stable_shift - 1, where the charge gap exceeds 2n
     rows = _tower(e, x, betamaps.stable_shift((0, 0), sum(lam), e), True)
-    failures.extend(_odd_stage_failures(lam, e, rows, {"kind": "inclusion_failure"}))
+    failures.extend(_odd_stage_failures(lam, e, rows, kind="inclusion_failure"))
     _, x1, x2, _ = rows[-1]
     single = minimal_beta_set(x1), minimal_beta_set(x2)
     if double != single:
-        failures.append(
-            {
-                "e": e,
-                "partition": format_partition(lam),
-                "kind": "isomorphism_mismatch",
-                "at_2e": [format_partition(p) for p in betamaps.decode_bits(double)],
-                "at_e": [format_partition(p) for p in betamaps.decode_bits(single)],
-            }
-        )
+        at_2e, at_e = ([format_partition(p) for p in betamaps.decode_bits(b)] for b in (double, single))
+        failures.append(_failure(lam, e, kind="isomorphism_mismatch", at_2e=at_2e, at_e=at_e))
     return failures
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from mullineux._core import kernels
 from mullineux.errors import NotRegularError, check_modulus
-from mullineux.partitions import Partition, check_rank, enumerate_e_regular
+from mullineux.partitions import Partition, check_rank, enumerate_e_regular, partition_text
 
 
 def f_tilde(lam: Partition, j: int, e: int) -> Partition | None:
@@ -81,7 +81,7 @@ def residue_path_to_empty(lam: Partition, e: int) -> tuple[int, ...]:
     while rows:
         string = first_open_string(rows, e)
         if string is None:
-            raise NotRegularError(f"{lam} is not {e}-regular")
+            raise NotRegularError(f"{partition_text(lam)} is not {e}-regular")
         j, found = string
         remove_nodes(rows, found[:1])
         path.append(j)
@@ -96,7 +96,7 @@ def mullineux_kleshchev(lam: Partition, e: int) -> Partition:
     check_rank(lam)
     image = kernels.mullineux(lam, e)
     if image is None:
-        raise NotRegularError(f"{lam} is not {e}-regular")
+        raise NotRegularError(f"{partition_text(lam)} is not {e}-regular")
     return image
 
 

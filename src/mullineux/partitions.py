@@ -57,7 +57,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
         if p <= 0:
             raise ValueError(f"partition parts must be positive, got {p}")
         if i > 0 and t[i - 1] < p:
-            raise ValueError(f"partition must be weakly decreasing, got {t}")
+            raise ValueError(f"partition must be weakly decreasing, got {partition_text(t)}")
     return t
 
 
@@ -87,6 +87,19 @@ def parse_partition(text: str) -> Partition:
 def format_partition(lam: Partition) -> str:
     """Write the wire format read by parse_partition ("-" for the empty partition)."""
     return ",".join(str(p) for p in lam) if lam else "-"
+
+
+ERROR_TEXT_PARTS = 20
+
+
+def partition_text(lam: Partition) -> str:
+    """A partition as error text names it: str(lam) up to ERROR_TEXT_PARTS
+    parts, and past that the first ERROR_TEXT_PARTS parts, its part count
+    and its rank, so that a message stays short at any length (a 10,000-row
+    partition at MAX_RANK would print about 30 KB)."""
+    if len(lam) <= ERROR_TEXT_PARTS:
+        return str(lam)
+    return f"{str(lam[:ERROR_TEXT_PARTS])[:-1]}, ...) ({len(lam)} parts, rank {sum(lam)})"
 
 
 def conjugate(lam: Partition) -> Partition:

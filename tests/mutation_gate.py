@@ -38,7 +38,7 @@ MUTANTS = [
     ("walk-mismatch-ignored", ENGINE,
      "    if double != single:", "    if False:", ENGINE_TESTS),
     ("crossval-odd-stages-dropped", ENGINE,
-     '    failures.extend(_odd_stage_failures(lam, e, rows, {"kind": "inclusion_failure"}))\n', "", ENGINE_TESTS),
+     '    failures.extend(_odd_stage_failures(lam, e, rows, kind="inclusion_failure"))\n', "", ENGINE_TESTS),
     ("crossval-tower-capped-at-9", ENGINE,
      "    rows = _tower(e, x, betamaps.stable_shift((0, 0), sum(lam), e), True)",
      "    rows = _tower(e, x, min(9, betamaps.stable_shift((0, 0), sum(lam), e)), True)", ENGINE_TESTS),
@@ -54,9 +54,9 @@ MUTANTS = [
      "    if nu[0] != nu[1]:", "    if False:", ENGINE_TESTS),
     ("depth-limit-off-by-one", ENGINE,
      "    if depth >= depth_limit:", "    if depth > depth_limit:", ENGINE_TESTS),
-    ("violations-reraised-not-cached", ENGINE,
-     "DepthExceededError) as exc:\n        return exc\n", "DepthExceededError) as exc:\n        raise\n",
-     ENGINE_TESTS),
+    ("top-level-node-memoized", ENGINE,
+     "    trace = _node.__wrapped__(x, e, 0, depth_limit, oracle_fallback)",
+     "    trace = _node(x, e, 0, depth_limit, oracle_fallback)", ENGINE_TESTS),
     ("even-stage-failures-recorded", ENGINE,
      "        if k % 2 and not inclusion:", "        if not k % 2 and not inclusion:", ENGINE_TESTS),
     ("towers-stop-at-stage-5", ENGINE,
@@ -87,9 +87,6 @@ MUTANTS = [
 
 # mutants no test can kill, each with the reason
 EQUIVALENT = {
-    "violations-reraised-not-cached": (
-        "output-equivalent: a memo hit recomputes the node and raises the same violation again"
-    ),
     "symbol-check-skips-regularity": (
         "no partition that is not e-regular shares an e-regular one's e-rim symbol at e = 2, 3 "
         "(rank <= 18) or e = 4, 5 (rank <= 16); the symbol determines a partition only among "

@@ -93,6 +93,17 @@ def test_mull_oversized_input_is_a_usage_error(capsys):
         assert "exceeds MAX_RANK = 10000" in err
 
 
+def test_mull_error_text_is_bounded(capsys):
+    # 10,000 rows at MAX_RANK: the message names the first 20 parts, the
+    # part count and the rank, not the whole partition (about 30 KB)
+    ones = ",".join(["1"] * MAX_RANK)
+    for method in ("kleshchev", "recursive", "both"):
+        code, out, err = run_cli(capsys, "mull", "--method", method, "--e", "2", "--lambda", ones)
+        assert (code, out) == (1, ""), method
+        assert len(err.encode()) <= 300, (method, len(err.encode()))
+        assert err.endswith("...) (10000 parts, rank 10000) is not 2-regular\n"), (method, err)
+
+
 def test_mull_usage_errors(capsys):
     assert run_cli(capsys, "mull", "--e", "3", "--lambda", "1,2")[0] == 1
     # every single-modulus command refuses e = 1 with the sweeps' message

@@ -34,6 +34,7 @@ from mullineux.partitions import (
     is_e_core,
     is_e_regular,
     minimal_beta_set,
+    minimal_bits,
     partition_from_beta_set,
 )
 
@@ -319,6 +320,19 @@ def test_recursive_depth_limit():
     assert trace.oracle_fallback
 
 
+def test_error_texts_name_a_long_partition_briefly():
+    # 21 rows of 2 are 22-regular but no 22-core: the hook of (1, 1) is 22
+    lam = (2,) * 21
+    with pytest.raises(DepthExceededError) as info:
+        mullineux_conjectural(lam, 22, depth_limit=0)
+    assert str(info.value) == f"depth limit 0 reached at modulus 22 on ({'2, ' * 20}...) (21 parts, rank 42)"
+    assert info.value.partition == lam
+    for algorithm in (mullineux_kleshchev, mullineux_conjectural):
+        with pytest.raises(NotRegularError) as info:
+            algorithm((1,) * 30, 2)
+        assert str(info.value) == f"({'1, ' * 20}...) (30 parts, rank 30) is not 2-regular"
+
+
 def test_negative_depth_limit_raises_before_any_bucket(monkeypatch):
     monkeypatch.setattr(engine, "_bucket", None)  # a bucket run would raise TypeError
     with pytest.raises(ValueError, match="depth_limit must be >= 0, got -1"):
@@ -393,9 +407,9 @@ def test_trace_serialization():
 @pytest.fixture
 def cold_memo():
     """Start from an empty memo and leave none of this test's entries behind."""
-    engine._outcome.cache_clear()
+    engine._node.cache_clear()
     yield
-    engine._outcome.cache_clear()
+    engine._node.cache_clear()
 
 
 def outcome(lam, e, depth_limit, oracle_fallback):
@@ -429,46 +443,71 @@ def test_memo_warm_and_cleared_give_the_same_outcome(cold_memo):
     warm = [outcome(*call) for call in calls]
     assert any(result[0] is DepthExceededError for result in warm)
     for call, seen in zip(calls, warm):
-        engine._outcome.cache_clear()
+        engine._node.cache_clear()
         assert outcome(*call) == seen, call
 
 
-def test_memo_keeps_raising_a_violation(cold_memo, monkeypatch):
+@pytest.fixture
+def disagreeing_walk(monkeypatch):
+    """Make every node with children raise: the inverse walk's second
+    component gains a part 1."""
     walk = engine.betamaps.psi_tilde_beta_sets
 
     def disagreeing(e, s, pair, inverse=False):
         nu = walk(e, s, pair, inverse)
         if not inverse:
             return nu
-        # the second component gains a part 1
         lam = partition_from_beta_set(beta_set_from_bits(nu[1]))
         return nu[0], beta_bits(lam + (1,), nu[1].bit_count() + 1)
 
     monkeypatch.setattr(engine.betamaps, "psi_tilde_beta_sets", disagreeing)
+
+
+def test_memo_keeps_raising_a_violation(cold_memo, disagreeing_walk):
     seen = []
     for _ in range(3):
         with pytest.raises(ConjectureViolationError) as info:
             mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
         seen.append((str(info.value), info.value.trace.to_dict()))
-    assert engine._outcome.cache_info().hits >= 2
+    assert engine._node.cache_info().hits >= 2
     assert seen[0] == seen[1] == seen[2]
     assert "pulled-back components disagree" in seen[0][0]
+
+
+def test_a_node_that_raises_leaves_no_memo_entry(cold_memo, disagreeing_walk):
+    # (8,)'s children at modulus 6 have children of their own, so they raise;
+    # only the base cases below them enter the memo, and a repeated call
+    # computes the raising nodes again
+    x = minimal_bits((8,))
+    raised, sizes = [], []
+    for _ in range(2):
+        misses = engine._node.cache_info().misses
+        with pytest.raises(ConjectureViolationError) as info:
+            engine._node(x, 3, 0, 16, False)
+        assert engine._node.cache_info().misses > misses
+        sizes.append(engine._node.cache_info().currsize)
+        exc = info.value
+        raised.append((exc, str(exc), exc.partition, exc.modulus, exc.trace.to_dict()))
+    assert sizes[0] == sizes[1] > 0
+    (first, *seen), (second, *again) = raised
+    assert second is not first and seen == again
+    assert seen[2] == 6 and "pulled-back components disagree" in seen[0]
 
 
 def test_memo_holds_no_top_level_node(cold_memo):
     # a sweep checks each partition once, so a top-level entry would never be hit
     assert is_e_core((4, 2), 3)
     mullineux_conjectural((4, 2), 3)
-    assert engine._outcome.cache_info().currsize == 0
+    assert engine._node.cache_info().currsize == 0
     mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
-    assert engine._outcome.cache_info().currsize > 0
+    assert engine._node.cache_info().currsize > 0
 
 
 def test_memo_answers_every_child_of_a_repeated_call(cold_memo):
     _, first = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
-    misses = engine._outcome.cache_info().misses
+    misses = engine._node.cache_info().misses
     _, second = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
-    assert engine._outcome.cache_info().misses == misses
+    assert engine._node.cache_info().misses == misses
     assert second is not first and second.to_dict() == first.to_dict()
     assert all(a is b for a, b in zip(second.children, first.children))
 

@@ -41,6 +41,7 @@ from mullineux.partitions import (
     parse_partition,
     partition_from_beta_set,
     partition_from_bits,
+    partition_text,
 )
 
 import beta_reference
@@ -158,6 +159,16 @@ def test_as_partition():
         as_partition([2, -1])
     with pytest.raises(ValueError):
         as_partition([2, 0, 1])
+
+
+def test_error_text_names_at_most_20_parts():
+    for lam in ((), (3, 1), tuple(range(20, 0, -1))):
+        assert partition_text(lam) == str(lam)
+    assert partition_text((2,) * 30 + (1,) * 10) == f"({'2, ' * 20}...) (40 parts, rank 70)"
+    with pytest.raises(ValueError) as info:
+        as_partition((1,) * MAX_RANK + (2,))
+    brief = f"({'1, ' * 20}...) (10001 parts, rank 10002)"
+    assert str(info.value) == f"partition must be weakly decreasing, got {brief}"
 
 
 # ---------------------------------------------------------------------------
