@@ -18,17 +18,17 @@ the size contract; betamaps encodes and decodes at its public entry
 points.
 Signature words read the diagram from the bottom row up, so the word
 starts at the largest row index.
-
-The crystal moves rest on two scans of the rows: one reads the removable
-letters of every residue at once and keeps, per residue, the rows of the
-removable nodes no addable node cancels (_open_removable); the other
-keeps the rows of the uncancelled addable nodes of one residue
-(_add_string).  Adding or removing a j-node changes no other j-letter of
-the word, so one scan serves a whole i-string: Kleshchev's algorithm
-strips e_j^max at a time and replays each negated string (-j, q) as
-f_{-j}^q, one scan per string instead of one per node.  level1 builds
-the rank-one moves, path stripping and replay from the same scans.
 """
+
+# The crystal moves rest on two scans of the rows: one reads the removable
+# letters of every residue at once and keeps, per residue, the rows of the
+# removable nodes no addable node cancels (_open_removable); the other
+# keeps the rows of the uncancelled addable nodes of one residue
+# (_add_string).  Adding or removing a j-node changes no other j-letter of
+# the word, so one scan serves a whole i-string: Kleshchev's algorithm
+# strips e_j^max at a time and replays each negated string (-j, q) as
+# f_{-j}^q, one scan per string instead of one per node.  level1 builds
+# the rank-one moves, path stripping and replay from the same scans.
 
 from mullineux.errors import check_modulus
 
@@ -194,23 +194,22 @@ def psi_step(e, x1, x2):
     Returns (y1, y2) where y1 is the matched image and y2 collects x1 + e,
     the unmatched part of x2 shifted by e, and the staircase 0..e-1.
 
-    One pass over the bits of x1, lowest first, with avail the unmatched
-    part of x2: a is the lowest bit low of what is left of x1, and the
-    match is the top bit of avail & ((low << 1) - 1), the unmatched b <= a.
-    That is a itself when a is still in avail, which is tested first, and
-    otherwise the top bit of avail & (low - 1).  The elements of x1 below
-    its lowest element outside x2 all take themselves, by the induction
-    below, so they leave both sets at once before the pass.
-    The matched image is what left avail, x2 ^ avail.  An a in x1 and x2
-    is matched by the end (to itself unless an earlier fallback took it),
-    so x1 and the unmatched rest are disjoint and y2 is one or.
-
     When x1 is a subset of x2 every a is matched to itself: by induction
     the elements of x1 below a took themselves, so a is still unmatched
     and is the largest unmatched b <= a.  Then y1 = x1 and y2 is the
     staircase followed by x2 + e, with no matching to do; this covers every
     first stage of a tower, where x1 == x2.
     """
+    # One pass over the bits of x1, lowest first, with avail the unmatched
+    # part of x2: a is the lowest bit low of what is left of x1, and the
+    # match is the top bit of avail & ((low << 1) - 1), the unmatched b <= a.
+    # That is a itself when a is still in avail, which is tested first, and
+    # otherwise the top bit of avail & (low - 1).  The elements of x1 below
+    # its lowest element outside x2 all take themselves, by the induction
+    # above, so they leave both sets at once before the pass.  The matched
+    # image is what left avail, x2 ^ avail.  An a in x1 and x2 is matched by
+    # the end (to itself unless an earlier fallback took it), so x1 and the
+    # unmatched rest are disjoint and y2 is one or.
     if x1.bit_count() > x2.bit_count():
         raise ValueError("psi_step needs |x1| <= |x2|")
     staircase = (1 << e) - 1

@@ -10,37 +10,37 @@ and the charge gap detects when all remaining steps act as the identity,
 which both stops the forward walk soundly and skips inert stages of the
 inverse walk.
 
-Both walks are psi_tilde_beta_sets, one plain loop per direction, which
-runs on a beta-set pair and returns the pair it ends on: the recursion
-in mullineux.engine keeps its partitions as beta-sets and calls it
-directly, psi_tilde and psi_tilde_inverse call it on a bipartition
-encoded at minimal padding, and the CLI passes it a list to collect
-every stage for rendering.  The walk carries the pair as beta-sets from
-stage to stage and never re-encodes it: a step's output is the next
-step's input at the same padding, and the inverse walk pads only when
-the next step needs a longer staircase.  The inverse walk reads the
-first part and the part counts it needs off the pair, so its input may
-come at any padding, and it starts at the highest stage the shortcut
-does not skip.  Partitions are decoded only where one is needed, for the
-final image and for rendering.
-
-The walks and the kernels hold a beta-set as an int bitset, bit b set
-iff b is a bead (see mullineux._core.kernels), so padding is a shift
-and an or, and the shortcut is a few big-int operations: the largest
-bead of the first set must lie in the staircase run 0, 1, ... that
-starts the second (shortcut_on_beta_sets; shortcut_applies runs it on
-the encoded bipartition).  Each public entry point converts once and
-calls one kernel: a bipartition is encoded straight to a bitset pair
-(encode_bits) and decoded straight back (decode_bits), and only
-psi_step and psi_step_inverse, which take and return strictly increasing
-tuples, go through pair_to_bits, which refuses a malformed set.
-encode_bipartition and decode_bipartition give the tuple form.
-
 All maps here are total on beta-sets / bipartitions; their crystal meaning
 (commuting with the charged operators of the level-2 crystal, which the
 tests keep as a reference in tests/crystal_reference.py) only holds on
 Uglov bipartitions, which is a tested property, not an input check.
 """
+
+# Both walks are psi_tilde_beta_sets, one plain loop per direction, which
+# runs on a beta-set pair and returns the pair it ends on: the recursion
+# in mullineux.engine keeps its partitions as beta-sets and calls it
+# directly, psi_tilde and psi_tilde_inverse call it on a bipartition
+# encoded at minimal padding, and the CLI passes it a list to collect
+# every stage for rendering.  The walk carries the pair as beta-sets from
+# stage to stage and never re-encodes it: a step's output is the next
+# step's input at the same padding, and the inverse walk pads only when
+# the next step needs a longer staircase.  The inverse walk reads the
+# first part and the part counts it needs off the pair, so its input may
+# come at any padding, and it starts at the highest stage the shortcut
+# does not skip.  Partitions are decoded only where one is needed, for the
+# final image and for rendering.
+#
+# The walks and the kernels hold a beta-set as an int bitset, bit b set
+# iff b is a bead (see mullineux._core.kernels), so padding is a shift
+# and an or, and the shortcut is a few big-int operations: the largest
+# bead of the first set must lie in the staircase run 0, 1, ... that
+# starts the second (shortcut_on_beta_sets; shortcut_applies runs it on
+# the encoded bipartition).  Each public entry point converts once and
+# calls one kernel: a bipartition is encoded straight to a bitset pair
+# (encode_bits) and decoded straight back (decode_bits), and only
+# psi_step and psi_step_inverse, which take and return strictly increasing
+# tuples, go through pair_to_bits, which refuses a malformed set.
+# encode_bipartition and decode_bipartition give the tuple form.
 
 from __future__ import annotations
 
@@ -225,14 +225,8 @@ def psi_tilde_beta_sets(
     bipartition of rank n, down to s itself.  The shortcut inequality gives
     the first stage top where it fails, so the stages above are inert
     without a test: they are recorded only when stages is a list, and the
-    pair is padded once, to the minimal padding of stage top read at the
-    bicharge above it.  The first part and the part count that fix top are
-    at most n, so top is below stable_shift(s, n, e) without computing n,
-    which only a recorded walk needs.  From there each stage is tested on
-    the pair and inverted for real where the shortcut fails, padding the
-    pair first if its second set lacks the staircase 0..e-1 the step
-    removes.  A modulus below 2 is refused at entry: at e = 0 the forward
-    walk's charge gap never grows.
+    pair is padded once (see the comment below).  A modulus below 2 is
+    refused at entry: at e = 0 the forward walk's charge gap never grows.
     """
     check_modulus(e)
     s1, s2 = s
@@ -248,6 +242,13 @@ def psi_tilde_beta_sets(
         if stages is not None:
             stages.append(((s1, s2), pair, None))
         return pair
+    # The pair is padded once, to the minimal padding of stage top read at
+    # the bicharge above it.  The first part and the part count that fix top
+    # are at most n, so top is below stable_shift(s, n, e) without computing
+    # n, which only a recorded walk needs.  From there each stage is tested
+    # on the pair and inverted for real where the shortcut fails, padding
+    # the pair first if its second set lacks the staircase 0..e-1 the step
+    # removes.
     a, b = minimal_beta_set(pair[0]), minimal_beta_set(pair[1])
     # at minimal padding only 1, the empty partition's set (0,), has bead 0
     parts1 = 0 if a & 1 else a.bit_count()

@@ -24,7 +24,7 @@ import sys
 
 from mullineux import betamaps, engine, level1
 from mullineux.schema import SCHEMA_VERSION
-from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError, check_modulus
+from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError, check_modulus, clip
 from mullineux.partitions import MAX_RANK, Partition, format_partition, parse_partition, unrestricted_modulus
 
 DEFAULT_E_LIST = "2,3,4,5"
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_bipartition(text: str) -> tuple[Partition, Partition]:
     if text.count("|") != 1:
-        raise ValueError(f"bipartition must be two partitions joined by '|', got {text!r}")
+        raise ValueError(f"bipartition must be two partitions joined by '|', got {clip(text)}")
     left, right = text.split("|")
     return parse_partition(left), parse_partition(right)
 
@@ -70,7 +70,7 @@ def parse_int_list(text: str, option: str) -> list[int]:
     try:
         return [int(chunk) for chunk in chunks]
     except ValueError:
-        raise ValueError(f"{option} takes comma-separated ints, got {text!r}") from None
+        raise ValueError(f"{option} takes comma-separated ints, got {clip(text)}") from None
 
 
 def check_moduli(moduli: list[int]) -> list[int]:
@@ -78,7 +78,7 @@ def check_moduli(moduli: list[int]) -> list[int]:
     for e in moduli:
         check_modulus(e)
         if e > MAX_MODULUS:
-            raise ValueError(f"modulus {e} exceeds MAX_MODULUS = {MAX_MODULUS}")
+            raise ValueError(f"modulus {clip(e)} exceeds MAX_MODULUS = {MAX_MODULUS}")
     return moduli
 
 
@@ -88,9 +88,9 @@ def _default_jobs() -> int:
         try:
             jobs = int(env)
         except ValueError:
-            raise ValueError(f"MULLINEUX_JOBS must be an integer, got {env!r}") from None
+            raise ValueError(f"MULLINEUX_JOBS must be an integer, got {clip(env)}") from None
         if jobs < 1:
-            raise ValueError(f"MULLINEUX_JOBS must be >= 1, got {jobs}")
+            raise ValueError(f"MULLINEUX_JOBS must be >= 1, got {clip(jobs)}")
         return jobs
     # the CPUs this process may run on, which taskset or a cpuset can make
     # fewer than the host has
@@ -222,12 +222,12 @@ def _step_doc(e: int, inverse: bool, stage, before, after) -> dict:
 def cmd_psi(args) -> int:
     charges = parse_int_list(args.charges, "--charges")
     if len(charges) != 2:
-        raise ValueError(f"--charges takes two comma-separated ints s1,s2, got {args.charges!r}")
+        raise ValueError(f"--charges takes two comma-separated ints s1,s2, got {clip(args.charges)}")
     s1, s2 = s = tuple(charges)
     if s1 > s2:
         raise ValueError("charges must satisfy s1 <= s2")
     if s2 - s1 > MAX_CHARGE_GAP:
-        raise ValueError(f"charge gap {s2 - s1} exceeds 2 * MAX_RANK = {MAX_CHARGE_GAP}")
+        raise ValueError(f"charge gap {clip(s2 - s1)} exceeds 2 * MAX_RANK = {MAX_CHARGE_GAP}")
     e = args.e
     blam = parse_bipartition(args.bipartition)
     if args.to_dominant:
@@ -272,7 +272,7 @@ def cmd_psi(args) -> int:
 
 def cmd_crystal_export(args) -> int:
     if args.max_n > MAX_EXPORT_RANK:
-        raise ValueError(f"--max-n {args.max_n} exceeds MAX_EXPORT_RANK = {MAX_EXPORT_RANK}")
+        raise ValueError(f"--max-n {clip(args.max_n)} exceeds MAX_EXPORT_RANK = {MAX_EXPORT_RANK}")
     graph = level1.crystal_graph(args.e, args.max_n)
     if args.format == "json":
         doc = {

@@ -1,25 +1,18 @@
 """Verification harnesses and the modulus-doubling Mullineux algorithm.
 
 Two sweeps live here.  The conjecture sweep iterates the beta-set step on
-diagonal pairs (X, X) and records whether the first set is contained in the
-second after each stage; containment at every odd stage is the conjecture
-under test, and any failure is collected as a counterexample, never raised.
-Its towers stop at the first stage whose pair meets the walks' shortcut,
-since every later stage is then provably an inclusion (see
-conjecture_tower); the report is the one the full towers give.
-Each stage's inclusion flag also picks how the next step is taken: from a
-pair whose first set lies inside the second, the step matches every
-element to itself, so the tower builds it in closed form and calls
-kernels.psi_step only after a stage that is not an inclusion.
-The cross-validation sweep checks the recursive algorithm on every
-e-regular partition in range against Mullineux's e-rim symbol, which
-determines an e-regular partition (Mullineux 1979; Ford-Kleshchev 1997):
-the image's symbol is the dual of lam's (kernels.dual_symbol), so the
-sweep accepts the recursion's image when it is e-regular with that
-symbol.  Only a mismatch runs the oracle, Kleshchev's algorithm
-(kernels.mullineux), for the record; it is also the oracle of mull,
-level1 and the recursion's oracle_fallback.  Its walk of (lam, lam) at
-modulus e is lam's stopped tower, whose odd-stage failures it records.
+diagonal pairs (X, X) and records each odd stage whose first set is not
+contained in the second as a counterexample, never raised.  Its towers
+stop at the first stage that meets the walks' shortcut, since every later
+stage is then provably an inclusion (see conjecture_tower); the report is
+the one the full towers give.  The cross-validation sweep checks three
+statements on every e-regular partition lam: the recursion's image, which
+it accepts when it is e-regular with the dual (kernels.dual_symbol) of
+lam's e-rim symbol, since that symbol determines an e-regular partition
+(Mullineux 1979; Ford-Kleshchev 1997), running Kleshchev's algorithm
+(kernels.mullineux) only on a mismatch, for the record; and the walks of
+(lam, lam) at moduli 2e and e, the latter being lam's stopped tower,
+whose odd-stage failures it records.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -27,83 +20,48 @@ image of (lam, lam) at modulus 2e and bicharge (0, e), apply the modulus-2e
 involution to both components, pull back, and read the answer off the two
 components, which must agree.  Conjugation of e-cores is the base case.
 
-Both the towers and the recursion hold a beta-set as an int bitset, bit
-b set iff b is a bead (see mullineux._core.kernels).  The recursion works
-on beta-sets at minimal padding (partitions.minimal_bits) from end to end:
-a partition is encoded once on entry, the regularity and e-core tests and
-the base case's conjugation read the bitset, the walks
-(betamaps.psi_tilde_beta_sets) take and return bitset pairs, and the
-children get the forward walk's pair trimmed back to minimal padding.  A
-MullineuxTrace stores those bitsets and decodes its partition fields
-(partitions.partition_from_bits) only when they are read, for error
-text, to_dict and the top-level image.  The sweeps decode only what a
-report prints: a tower failure's missing beads, and a mismatch's or an
-error's partitions.
-conjecture_tower keeps the tuple form for its callers and runs the
-bitset tower the sweep calls, _tower.
+Towers and recursion hold a beta-set as an int bitset, bit b set iff b is
+a bead (see mullineux._core.kernels), at minimal padding
+(partitions.minimal_bits).  A MullineuxTrace stores bitsets and decodes
+its partition fields only when they are read; the sweeps decode only what
+a report prints.
 
-The recursion revisits the same modulus-2e and modulus-4e subproblems many
-times, both within one partition's trace tree and across the partitions of
-a sweep, so each process keeps a bounded least-recently-used memo of
-recursion nodes below the top level.  It is keyed on everything a node's
-outcome and its error text depend on: the partition's beta-set at minimal
-padding (one int, in one-to-one correspondence with the partition), the
-modulus, the depth (with depth_limit, the remaining depth budget),
-depth_limit and oracle_fallback.  The memo is functools.lru_cache on
-_node itself, so each child is a call through it.  It holds traces only:
-a node that raises ConjectureViolationError or DepthExceededError leaves
-no entry, and a later call computes it again and raises an equal error,
-so a violation is never masked.  A hit returns the very trace object
-computed first, so trace trees share subtrees instead of copying them,
-and a parent's mu is read off its children, so it holds their cached
-beta-sets rather than fresh copies and costs the trace no field.  The
-top-level node of mullineux_conjectural bypasses the memo (it calls
-_node.__wrapped__): a sweep checks each partition once, so a top-level
-entry is never hit, and each one would push out a child that recurs.
-The memo holds MEMO_SIZE nodes, sized to the children's working set.
-On an in-process cross_validate(e=2..5, n<=26), 17,508 top-level nodes
-have 7,915 distinct children.  The table gives node computations there
-(children computed plus top-level nodes) and peak RSS, both for that
-sweep and for one 200-input round of bench/run.py's large-rank workload
-run in-process, against a 512-node memo that also held the top level
-(2-core x86-64 host, Python 3.11, median of three processes; entries
-hold bitsets):
+Each process keeps a least-recently-used memo of recursion nodes below
+the top level, functools.lru_cache on _node, keyed on everything a node's
+outcome and error text depend on: the beta-set, the modulus, the depth,
+depth_limit and oracle_fallback.  It holds traces only: a node that
+raises leaves no entry, so a violation is raised again, never masked.  A
+hit returns the very trace computed first, so trace trees share
+subtrees.  The top level bypasses the memo (_node.__wrapped__): a sweep
+checks each partition once, so its entry would only push out a child
+that recurs.  MEMO_SIZE is sized to the children's working set.
 
-    MEMO_SIZE              node computations  peak RSS, crossval  large-rank
-    512, top level in it   50,052             15.1 MiB            19.3 MiB
-    512                    45,911             -0.0 MiB            +0.0 MiB
-    1,024                  35,119             +0.3 MiB            +0.3 MiB
-    1,536                  28,684             +0.5 MiB            +0.5 MiB
-    2,048                  25,536             +0.8 MiB            +0.7 MiB
-    4,096                  25,423             +1.7 MiB            +1.5 MiB
+Both sweeps are one pipeline.  _sweep validates the arguments, runs
+_bucket on every (e, n) bucket and merges checked, counterexamples and
+timings ("e={e},n={n}") in (e, n) order.  _bucket is the only loop over a
+bucket's partitions, each lam with x, its bitset at minimal padding
+(partitions.enumerate_e_regular_bits): it passes CHUNK of them at a time
+to check(chunk, e, *params), chunk a list of (lam, x), which returns
+failure dicts in partition order.  A sweep's check is _phases over its
+phases, the stopped tower for verify-conjecture, and for cross-validate
+the recursion, the symbol check and the walks.  Each phase runs over the
+whole chunk before the next starts, which keeps one phase's code and data
+hot; each partition gets the same kernel calls and memo traffic, in the
+same order, as in one pass.  _phases alone catches a check's exception:
+the partition gets one failure of kind "error" in place of its others
+and leaves the later phases, and the sweep goes on.  A chunk bounds the
+memory a bucket holds (e = 5, rank 30 has 327,805 partitions).  Median
+CPU time of an in-process cross_validate(e=2..5, n<=26) over 9
+alternating runs (2-core x86-64 host, Python 3.11):
 
-4,096 nodes reach the floor, one computation per distinct node.  1,536
-nodes come within 13% of it for under a third of the extra memory, and
-were the largest size that kept bench/run.py's peak RSS within 5% of the
-512-node memo on both workloads even with tuple entries, which cost more
-(+0.8 MiB at 1,536 nodes): there 2,048 nodes added 5.3% on
-crossval-sweep (24.4 to 25.7 MiB), 1,536 about 3%.  An unbounded memo
-also reaches the floor, but its memory grows with the sweep: +2.5 MiB on
-this one.
+    CHUNK         1     16    64    256   whole bucket
+    time, ms      844   624   577   550   565
 
-Both sweeps are one pipeline.  Each is only its parameters and a
-per-partition check, check(lam, x, e, *params), that returns a list of
-failure dicts.  _sweep validates the arguments, builds the (e, n) grid,
-runs _bucket on every bucket and merges checked, counterexamples and
-timings (labelled "e={e},n={n}") in (e, n) order.  _bucket is the only
-loop over a bucket's partitions; partitions.enumerate_e_regular_bits
-hands it each lam with x, its bitset at minimal padding, which the
-checks start from.  An exception a check raises is data, not
-an abort: it becomes a counterexample of kind "error" carrying the
-partition and the exception, and the sweep goes on.  With more than one
-worker the buckets go to the Pool one at a time, larger ranks first, so the
-largest buckets do not end up in one worker's last chunk; only picklable
-data (the check, e, n, regular_only, params) crosses the Pool, and the
-enumerators and checks look up module globals at call time.  Buckets share
-no state, so reports are byte-identical regardless of the worker count.
-Each worker process has its own memo.  The first sweep with more than one
-worker imports multiprocessing, so importing the package and running a
-serial sweep never load it.
+With more than one worker the buckets go to the Pool one at a time,
+larger ranks first; only picklable data crosses it, and the checks look
+up module globals at call time.  Buckets share no state, so reports are
+byte-identical across worker counts; each worker has its own memo.
+Only a sweep with more than one worker imports multiprocessing.
 """
 
 from __future__ import annotations
@@ -111,6 +69,7 @@ from __future__ import annotations
 import functools
 import time
 from collections import namedtuple
+from itertools import islice
 from typing import NamedTuple
 
 from mullineux import betamaps
@@ -139,6 +98,7 @@ from mullineux.schema import SCHEMA_VERSION
 
 Bits = int
 BitPair = tuple[Bits, Bits]
+CHUNK = 256  # partitions per check call; see the module docstring's table
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +132,10 @@ def conjecture_tower(
     stage 1 is a proved fact and is asserted outright; inclusion at larger
     odd stages is the conjecture and is only recorded.  x is a strictly
     increasing tuple of nonnegative ints (ValueError otherwise), and the
-    steps hold tuples; the tower itself runs on bitsets (_tower).
-
-    Each stage's inclusion flag decides how the next step is taken.  A step
-    from a pair (x1, x2) with x1 inside x2 matches every a in x1 to itself
-    (the induction in kernels.psi_step's docstring), so it is built in
-    closed form as x1 and {0..e-1} u (x2 + e), with no kernel call and no
-    second subset test.  Stage 0 starts from (x, x), and every stage after
-    an inclusion starts from such a pair; kernels.psi_step runs only after
-    a stage that is not an inclusion.
-
-    With stop_at_shortcut the tower ends after the first stage whose pair
-    (x1, x2) meets betamaps.shortcut_on_beta_sets, or whose x1 is empty,
-    because every later stage is then an inclusion.  The shortcut says that
-    x2 contains 0..m, m the largest element of x1.  The next step is then
-    the closed form, whose second set contains 0..m+e: the shortcut holds
-    again and x1 is inside the second set.  An empty x1 stays empty and is
-    inside any set.  A tower that stops at stage 0 skips the stage-1
-    assertion, but only where stage 1 is an inclusion anyway.  The sweep
-    stops its towers; library callers get the full tower by default.  Since
-    a stage that meets the shortcut is an inclusion, the shortcut, computed
-    once per stage, also decides the inclusion flag there.
+    steps hold tuples.  With stop_at_shortcut the tower ends after the
+    first stage that meets betamaps.shortcut_on_beta_sets, since every
+    later stage is then an inclusion (see _tower); the sweep stops its
+    towers, library callers get the full tower by default.
     """
     check_modulus(e)
     if k_max < 0:
@@ -207,6 +150,17 @@ def conjecture_tower(
 
 def _tower(e: int, x: Bits, k_max: int, stop_at_shortcut: bool) -> list[tuple[int, Bits, Bits, bool]]:
     """conjecture_tower's stages on the bitset x, as (k, x1, x2, inclusion) rows."""
+    # A step from (x1, x2) with x1 inside x2 matches every a in x1 to itself
+    # (the induction in kernels.psi_step's docstring), so it is built in
+    # closed form as x1 and {0..e-1} u (x2 + e), with no kernel call and no
+    # second subset test; stage 0 starts from (x, x), and the kernel runs
+    # only after a stage that is not an inclusion.  The shortcut says that
+    # x2 contains 0..m, m the largest element of x1 (or x1 is empty); the
+    # next step is then the closed form, whose second set contains 0..m+e,
+    # so the shortcut holds again and every later stage is an inclusion.
+    # That is why a stage that meets it is an inclusion, and a tower may
+    # stop there; one stopped at stage 0 skips the stage-1 assertion only
+    # where stage 1 is an inclusion anyway.
     x1 = x2 = x
     inclusion = True  # (x, x) is one
     staircase = (1 << e) - 1
@@ -294,23 +248,46 @@ def _failure(lam: Partition, e: int, **fields) -> dict:
 
 
 def _bucket(task):
-    """The only loop over a bucket's partitions: run the check on each, count
-    them and collect the failure dicts, recording an exception the check
-    raises as a failure of kind "error".  Returns (checked, failures, seconds)."""
+    """The only loop over a bucket's partitions: hand the check CHUNK of them
+    at a time, count them and collect the failure dicts.  Returns (checked,
+    failures, seconds)."""
     check, e, n, regular_only, params = task
     start = time.perf_counter()
     checked, failures = 0, []
-    for lam, x in enumerate_e_regular_bits(n, e if regular_only else unrestricted_modulus(n)):
-        checked += 1
-        try:
-            failures.extend(check(lam, x, e, *params))
-        except Exception as exc:
-            failures.append(_failure(lam, e, kind="error", detail=f"{type(exc).__name__}: {exc}"))
+    partitions = enumerate_e_regular_bits(n, e if regular_only else unrestricted_modulus(n))
+    while chunk := list(islice(partitions, CHUNK)):
+        checked += len(chunk)
+        failures += check(chunk, e, *params)
     return checked, failures, time.perf_counter() - start
 
 
+def _phases(phases, chunk, e, *params):
+    """A check: run each phase(lam, x, e, carry, *params) -> (failures,
+    carry) over the partitions of chunk still live, carry being what lam's
+    previous phase returned (None at the first); return the failures in
+    partition order.  A phase that raises gives lam one failure of kind
+    "error" in place of its earlier ones, and lam leaves the later phases."""
+    found = {}
+    carry = [None] * len(chunk)
+    live = range(len(chunk))
+    for phase in phases:
+        kept = []
+        for i in live:
+            lam, x = chunk[i]
+            try:
+                failures, carry[i] = phase(lam, x, e, carry[i], *params)
+            except Exception as exc:
+                found[i] = [_failure(lam, e, kind="error", detail=f"{type(exc).__name__}: {exc}")]
+                continue
+            kept.append(i)
+            if failures:
+                found.setdefault(i, []).extend(failures)
+        live = kept
+    return [f for i in sorted(found) for f in found[i]]
+
+
 def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs) -> SweepReport:
-    """Run check(lam, x, e, *params) on every (e, n) bucket and merge in (e, n) order."""
+    """Run check(chunk, e, *params) on every (e, n) bucket and merge in (e, n) order."""
     if not e_list:
         raise ValueError("at least one modulus is required")
     check_modulus(min(e_list))
@@ -362,10 +339,10 @@ def _odd_stage_failures(
     return failures
 
 
-def _tower_failures(lam: Partition, x: Bits, e: int, k_max: int) -> list[dict]:
+def _tower_phase(lam: Partition, x: Bits, e: int, _, k_max: int):
     """Odd-stage failures of lam's stopped tower from its bitset x."""
     # the flag goes positionally, so a stand-in taking only *args can replace the tower
-    return _odd_stage_failures(lam, e, _tower(e, x, k_max, True))
+    return _odd_stage_failures(lam, e, _tower(e, x, k_max, True)), None
 
 
 def sweep_conjecture(
@@ -389,15 +366,16 @@ def sweep_conjecture(
         "k_max": k_max,
         "regular_only": regular_only,
     }
-    return _sweep(
-        "verify-conjecture", parameters, _tower_failures, (k_max,), e_list, n_max, regular_only, jobs
-    )
+    check = functools.partial(_phases, (_tower_phase,))
+    return _sweep("verify-conjecture", parameters, check, (k_max,), e_list, n_max, regular_only, jobs)
 
 
 # ---------------------------------------------------------------------------
 # recursive Mullineux
 
 
+# a named tuple keeps the fields immutable and costs less to define at
+# import than a frozen dataclass
 class MullineuxTrace(
     namedtuple(
         "MullineuxTrace",
@@ -407,13 +385,10 @@ class MullineuxTrace(
 ):
     """One level of the recursion: what was computed at this modulus.
 
-    It stores what the recursion computes, beta-sets at minimal padding
-    held as int bitsets (beta, image_beta, nu_beta), and decodes
-    partition, image, mu, nu and to_dict on access.  mu, the pair the
-    forward walk hands to the children, is read off the children's
-    beta-sets, so it exists exactly when there are children.  A named
-    tuple keeps the fields immutable and costs less to define at import
-    than a frozen dataclass.
+    It stores beta-sets at minimal padding as int bitsets (beta,
+    image_beta, nu_beta) and decodes partition, image, mu, nu and to_dict
+    on access.  mu, the pair the forward walk hands to the children, is
+    read off the children's beta-sets.
     """
 
     __slots__ = ()
@@ -456,7 +431,28 @@ class MullineuxTrace(
         return doc
 
 
-MEMO_SIZE = 1536  # recursion nodes per process; see the module docstring
+# On an in-process cross_validate(e=2..5, n<=26), 17,508 top-level nodes
+# have 7,915 distinct children.  Node computations there (children computed
+# plus top-level nodes) and peak RSS, for that sweep and for one 200-input
+# round of bench/run.py's large-rank workload run in-process, against a
+# 512-node memo that also held the top level (2-core x86-64 host, Python
+# 3.11, median of three processes; entries hold bitsets):
+#
+#     MEMO_SIZE              node computations  peak RSS, crossval  large-rank
+#     512, top level in it   50,052             15.1 MiB            19.3 MiB
+#     512                    45,911             -0.0 MiB            +0.0 MiB
+#     1,024                  35,119             +0.3 MiB            +0.3 MiB
+#     1,536                  28,684             +0.5 MiB            +0.5 MiB
+#     2,048                  25,536             +0.8 MiB            +0.7 MiB
+#     4,096                  25,423             +1.7 MiB            +1.5 MiB
+#
+# 4,096 nodes reach the floor, one computation per distinct node.  1,536
+# come within 13% of it for under a third of the extra memory, and were the
+# largest size that kept bench/run.py's peak RSS within 5% of the 512-node
+# memo on both workloads even with tuple entries (+0.8 MiB at 1,536 nodes;
+# 2,048 added 5.3% on crossval-sweep).  An unbounded memo also reaches the
+# floor, but grows with the sweep: +2.5 MiB on this one.
+MEMO_SIZE = 1536  # recursion nodes per process
 
 
 def _diagonal_walk(e: int, x: Bits) -> BitPair:
@@ -549,53 +545,52 @@ def mullineux_conjectural(
 # cross-validation sweep
 
 
-def _crossval_failures(lam: Partition, x: Bits, e: int, depth_limit: int) -> list[dict]:
-    """Failure dicts for lam, with bitset x: the recursion against a proven
-    oracle, the stabilized walks of (lam, lam) at moduli 2e and e against
-    each other, and odd-stage inclusion along the walk at e, lam's tower.
-
-    The recursion's image is accepted when it is e-regular and its e-rim
-    symbol is the dual of lam's (see the module docstring); otherwise
-    Kleshchev's algorithm gives the oracle's image for the record.  A
-    kernel's error reaches _bucket, which records it as kind "error".
-    """
-    failures = []
-    trace = None
+def _recursion_phase(lam: Partition, x: Bits, e: int, _, depth_limit: int):
+    """The recursion's (image, trace), or its violation or depth record."""
+    # looked up at call time, so a wrapper on the module sees every call
     try:
-        recursive, trace = mullineux_conjectural(lam, e, depth_limit=depth_limit)
+        return (), mullineux_conjectural(lam, e, depth_limit=depth_limit)
+    except ConjectureViolationError as exc:
+        trace_doc = exc.trace.to_dict() if exc.trace is not None else None
+        return [_failure(lam, e, kind="conjecture_violation", detail=str(exc), trace=trace_doc)], None
+    except DepthExceededError as exc:
+        return [_failure(lam, e, kind="depth_exceeded", detail=str(exc))], None
+
+
+def _symbol_phase(lam: Partition, x: Bits, e: int, result, _):
+    """Accept the recursion's image when it is e-regular and its e-rim symbol
+    is the dual of lam's; otherwise record Kleshchev's image if it differs."""
+    if result is not None:
+        recursive, trace = result
         if not (
             beta_set_is_e_regular(trace.image_beta, e)
             and kernels.e_rim_symbol(recursive, e) == kernels.dual_symbol(kernels.e_rim_symbol(lam, e), e)
         ):
             oracle = kernels.mullineux(lam, e)
             if recursive != oracle:
-                failures.append(
-                    _failure(
-                        lam,
-                        e,
-                        kind="mullineux_mismatch",
-                        oracle=format_partition(oracle),
-                        recursive=format_partition(recursive),
-                    )
-                )
-    except ConjectureViolationError as exc:
-        trace_doc = exc.trace.to_dict() if exc.trace is not None else None
-        failures.append(_failure(lam, e, kind="conjecture_violation", detail=str(exc), trace=trace_doc))
-    except DepthExceededError as exc:
-        failures.append(_failure(lam, e, kind="depth_exceeded", detail=str(exc)))
+                oracle, recursive = format_partition(oracle), format_partition(recursive)
+                return [_failure(lam, e, kind="mullineux_mismatch", oracle=oracle, recursive=recursive)], result
+    return (), result
+
+
+def _walk_phase(lam: Partition, x: Bits, e: int, result, _):
+    """The walks of (lam, lam) at moduli 2e and e against each other, and
+    odd-stage inclusion along the latter, lam's tower."""
     # except at an e-core or when it raised, the recursion already walked
     # (lam, lam) at modulus 2e
-    double = _diagonal_walk(e, x) if trace is None or trace.mu_beta is None else trace.mu_beta
+    double = result[1].mu_beta if result is not None else None
+    if double is None:
+        double = _diagonal_walk(e, x)
     # the walk at modulus e takes the tower's steps, and the tower meets the
     # shortcut by stage stable_shift - 1, where the charge gap exceeds 2n
     rows = _tower(e, x, betamaps.stable_shift((0, 0), sum(lam), e), True)
-    failures.extend(_odd_stage_failures(lam, e, rows, kind="inclusion_failure"))
+    failures = _odd_stage_failures(lam, e, rows, kind="inclusion_failure")
     _, x1, x2, _ = rows[-1]
     single = minimal_beta_set(x1), minimal_beta_set(x2)
     if double != single:
         at_2e, at_e = ([format_partition(p) for p in betamaps.decode_bits(b)] for b in (double, single))
         failures.append(_failure(lam, e, kind="isomorphism_mismatch", at_2e=at_2e, at_e=at_e))
-    return failures
+    return failures, None
 
 
 def cross_validate(
@@ -612,8 +607,7 @@ def cross_validate(
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     parameters = {"e_list": list(e_list), "n_max": n_max, "depth_limit": depth_limit}
-    report = _sweep(
-        "cross-validate", parameters, _crossval_failures, (depth_limit,), e_list, n_max, True, jobs
-    )
+    check = functools.partial(_phases, (_recursion_phase, _symbol_phase, _walk_phase))
+    report = _sweep("cross-validate", parameters, check, (depth_limit,), e_list, n_max, True, jobs)
     report.depth_exceeded = sum(c["kind"] == "depth_exceeded" for c in report.counterexamples)
     return report

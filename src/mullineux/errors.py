@@ -1,10 +1,33 @@
-"""Exception types shared across the package, and the one modulus check."""
+"""Exception types shared across the package, the one modulus check, and
+the one clip of an input value that error text echoes."""
+
+from math import log10
+
+ERROR_TEXT_CHARS = 20
+
+
+def clip(value: str | int) -> str:
+    """An input value as error text echoes it: an int, or a str's repr,
+    whole up to ERROR_TEXT_CHARS digits or characters, else the head, "..."
+    and the length."""
+    if isinstance(value, str):
+        if len(value) <= ERROR_TEXT_CHARS:
+            return repr(value)
+        return f"{value[:ERROR_TEXT_CHARS]!r}... ({len(value)} characters)"
+    # an int is cut by arithmetic: str() raises past sys.get_int_max_str_digits()
+    n = abs(value)
+    if n < 10**ERROR_TEXT_CHARS:
+        return str(value)
+    digits = int(log10(n)) + 1
+    # log10 can round either way next to a power of 10
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    return f"{'-' * (value < 0)}{n // 10 ** (digits - ERROR_TEXT_CHARS)}... ({digits} digits)"
 
 
 def check_modulus(e: int) -> None:
     """Raise ValueError unless e >= 2, the only moduli the package takes."""
     if e < 2:
-        raise ValueError(f"modulus must be >= 2, got {e}")
+        raise ValueError(f"modulus must be >= 2, got {clip(e)}")
 
 
 class NotRegularError(ValueError):

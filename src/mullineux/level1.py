@@ -16,19 +16,19 @@ applied first when replaying from the empty partition.  Negating every
 residue of a path for an e-regular partition and replaying computes the
 Mullineux involution (Kleshchev's algorithm), which is the oracle the rest
 of the package is validated against.
-
-The kernels run that algorithm on whole i-strings.  Adding or removing a
-j-node changes no other j-letter of the signature word, so one scan finds
-every node of a string: the strip removes all uncancelled removable j-nodes
-at once (e_j^max, for the smallest residue j that has any), and the replay
-applies each negated string (-j, q) as f_{-j}^q, adding a node at each of
-the last q uncancelled addable nodes, or stalling when fewer than q are
-left.  The image does not depend on the stripping order.  The moves here
-call those scans directly, looked up on kernels at call time: replay_path
-applies runs of equal residues as strings, and residue_path_to_empty
-returns the canonical path, one node at a time.  Every entry point takes a
-modulus of at least 2, and each move checks it once.
 """
+
+# The kernels run that algorithm on whole i-strings.  Adding or removing a
+# j-node changes no other j-letter of the signature word, so one scan finds
+# every node of a string: the strip removes all uncancelled removable j-nodes
+# at once (e_j^max, for the smallest residue j that has any), and the replay
+# applies each negated string (-j, q) as f_{-j}^q, adding a node at each of
+# the last q uncancelled addable nodes, or stalling when fewer than q are
+# left.  The image does not depend on the stripping order.  The moves here
+# call those scans directly, looked up on kernels at call time: replay_path
+# applies runs of equal residues as strings, and residue_path_to_empty
+# returns the canonical path, one node at a time.  Every entry point takes a
+# modulus of at least 2, and each move checks it once.
 
 from __future__ import annotations
 

@@ -22,7 +22,7 @@ from itertools import accumulate, count, product
 from operator import add
 from typing import Iterable, Iterator
 
-from mullineux.errors import PartitionTooLargeError, check_modulus
+from mullineux.errors import PartitionTooLargeError, check_modulus, clip
 
 Partition = tuple[int, ...]
 
@@ -41,7 +41,7 @@ def check_rank(lam: Partition) -> None:
     """Raise PartitionTooLargeError when lam's rank exceeds MAX_RANK."""
     n = sum(lam)
     if n > MAX_RANK:
-        raise PartitionTooLargeError(f"partition rank {n} exceeds MAX_RANK = {MAX_RANK}")
+        raise PartitionTooLargeError(f"partition rank {clip(n)} exceeds MAX_RANK = {MAX_RANK}")
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -55,7 +55,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
         t = t[:-1]
     for i, p in enumerate(t):
         if p <= 0:
-            raise ValueError(f"partition parts must be positive, got {p}")
+            raise ValueError(f"partition parts must be positive, got {clip(p)}")
         if i > 0 and t[i - 1] < p:
             raise ValueError(f"partition must be weakly decreasing, got {partition_text(t)}")
     return t
@@ -76,7 +76,7 @@ def parse_partition(text: str) -> Partition:
         try:
             parts.append(int(chunk))
         except ValueError:
-            raise ValueError(f"bad partition entry {chunk!r}") from None
+            raise ValueError(f"bad partition entry {clip(chunk)}") from None
     lam = as_partition(parts)
     if len(lam) != len(parts):  # as_partition dropped trailing zeros
         raise ValueError("partition parts must be positive, got 0")
@@ -96,10 +96,11 @@ def partition_text(lam: Partition) -> str:
     """A partition as error text names it: str(lam) up to ERROR_TEXT_PARTS
     parts, and past that the first ERROR_TEXT_PARTS parts, its part count
     and its rank, so that a message stays short at any length (a 10,000-row
-    partition at MAX_RANK would print about 30 KB)."""
-    if len(lam) <= ERROR_TEXT_PARTS:
-        return str(lam)
-    return f"{str(lam[:ERROR_TEXT_PARTS])[:-1]}, ...) ({len(lam)} parts, rank {sum(lam)})"
+    partition at MAX_RANK would print about 30 KB); each number is clipped."""
+    text = ", ".join(map(clip, lam[:ERROR_TEXT_PARTS]))
+    if len(lam) > ERROR_TEXT_PARTS:
+        return f"({text}, ...) ({len(lam)} parts, rank {clip(sum(lam))})"
+    return f"({text},)" if len(lam) == 1 else f"({text})"
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -38,7 +38,8 @@ MUTANTS = [
     ("walk-mismatch-ignored", ENGINE,
      "    if double != single:", "    if False:", ENGINE_TESTS),
     ("crossval-odd-stages-dropped", ENGINE,
-     '    failures.extend(_odd_stage_failures(lam, e, rows, kind="inclusion_failure"))\n', "", ENGINE_TESTS),
+     '    failures = _odd_stage_failures(lam, e, rows, kind="inclusion_failure")',
+     "    failures = []", ENGINE_TESTS),
     ("crossval-tower-capped-at-9", ENGINE,
      "    rows = _tower(e, x, betamaps.stable_shift((0, 0), sum(lam), e), True)",
      "    rows = _tower(e, x, min(9, betamaps.stable_shift((0, 0), sum(lam), e)), True)", ENGINE_TESTS),
@@ -63,7 +64,13 @@ MUTANTS = [
      "        if stop_at_shortcut and shortcut:", "        if stop_at_shortcut and (shortcut or k == 5):",
      ENGINE_TESTS),
     ("check-errors-abort-the-sweep", ENGINE,
-     "        except Exception as exc:", "        except ArithmeticError as exc:", ENGINE_TESTS),
+     "            except Exception as exc:", "            except ArithmeticError as exc:", ENGINE_TESTS),
+    ("phase-error-keeps-earlier-records", ENGINE,
+     '                found[i] = [_failure(lam, e, kind="error", detail=f"{type(exc).__name__}: {exc}")]',
+     '                found.setdefault(i, []).append(_failure(lam, e, kind="error", detail=f"{type(exc).__name__}: {exc}"))',
+     ENGINE_TESTS),
+    ("errored-partition-runs-later-phases", ENGINE,
+     "        live = kept", "        live = range(len(chunk))", ENGINE_TESTS),
     ("depth-exceeded-not-counted", ENGINE,
      '    report.depth_exceeded = sum(c["kind"] == "depth_exceeded" for c in report.counterexamples)',
      "    report.depth_exceeded = 0", ENGINE_TESTS),

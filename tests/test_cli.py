@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mullineux import cli
 from mullineux.betamaps import minimal_padding, psi_tilde, psi_tilde_inverse
-from mullineux.partitions import MAX_RANK, enumerate_bipartitions, partition_from_beta_set
+from mullineux.errors import ERROR_TEXT_CHARS, clip
+from mullineux.partitions import MAX_RANK, as_partition, enumerate_bipartitions, partition_from_beta_set
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,22 @@ def test_mull_error_text_is_bounded(capsys):
         assert (code, out) == (1, ""), method
         assert len(err.encode()) <= 300, (method, len(err.encode()))
         assert err.endswith("...) (10000 parts, rank 10000) is not 2-regular\n"), (method, err)
+
+
+def test_echoed_input_is_clipped(capsys):
+    # a 5,000-digit part is past int()'s digit limit, a 4,000-digit one is a
+    # rank past MAX_RANK, and after a 1 it breaks the weak decrease first
+    big = "9" * 4000
+    for lam, says in (
+        ("9" * 5000, "bad partition entry '99999999999999999999'... (5000 characters)"),
+        (big, "partition rank 99999999999999999999... (4000 digits) exceeds MAX_RANK"),
+        (f"1,{big}", "weakly decreasing, got (1, 99999999999999999999... (4000 digits))"),
+    ):
+        code, out, err = run_cli(capsys, "mull", "--e", "2", "--lambda", lam)
+        assert (code, out) == (1, ""), lam[:10]
+        assert len(err.encode()) <= 300 and says in err, err[:400]
+    with pytest.raises(ValueError, match=r"positive, got -99999999999999999999\.\.\. \(4000 digits\)$"):
+        as_partition([2, -int(big)])
 
 
 def test_mull_usage_errors(capsys):
@@ -239,7 +256,9 @@ def test_parse_int_list_round_trips_or_raises_value_error(text):
     try:
         values = cli.parse_int_list(text, "--e")
     except ValueError as exc:
-        assert str(exc) == f"--e takes comma-separated ints, got {text!r}"
+        # past ERROR_TEXT_CHARS characters the echo is clipped
+        assert str(exc) == f"--e takes comma-separated ints, got {clip(text)}"
+        assert clip(text) == repr(text) or len(text) > ERROR_TEXT_CHARS
         return
     assert all(isinstance(v, int) for v in values)
     assert cli.parse_int_list(",".join(map(str, values)), "--e") == values

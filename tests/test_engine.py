@@ -607,11 +607,15 @@ def test_stopped_tower_ends_where_the_walk_at_modulus_e_ends():
 @pytest.mark.parametrize(
     "regular_only, counts", [(True, [70, 145, 193, 223]), (False, [272] * 4)], ids=["e-regular", "all"]
 )
-def test_bucket_hands_each_check_its_bitset(regular_only, counts):
-    seen = []
+def test_bucket_hands_each_check_its_bitset(regular_only, counts, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK", 16)
+    seen, sizes = [], []
 
-    def record(lam, x, e):
-        seen.append((e, lam, x))
+    def record(chunk, e):
+        seen.extend((e, lam, x) for lam, x in chunk)
+        ranks = {sum(lam) for lam, _ in chunk}
+        assert len(ranks) == 1  # one bucket per chunk
+        sizes.append((e, *ranks, len(chunk)))
         return []
 
     report = engine._sweep("record", {}, record, (), [2, 3, 4, 5], 12, regular_only, 1)
@@ -627,6 +631,11 @@ def test_bucket_hands_each_check_its_bitset(regular_only, counts):
         assert len(expected) == count
     for e, lam, x in seen:
         assert x == beta_bits(lam, max(1, len(lam))), (e, lam)
+    # full chunks, and a shorter one only at a bucket's end
+    assert all(0 < size <= 16 for *_, size in sizes)
+    for (e, n, size), following in zip(sizes, sizes[1:]):
+        assert size == 16 or following[:2] != (e, n), (e, n)
+    assert max(size for *_, size in sizes) == 16
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -694,10 +703,10 @@ def fail_on(monkeypatch, module, name, args, exc):
     """Make module.name raise exc when it is called with these positional args."""
     original = getattr(module, name)
 
-    def failing(*called):
+    def failing(*called, **options):
         if called[: len(args)] == args:
             raise exc
-        return original(*called)
+        return original(*called, **options)
 
     monkeypatch.setattr(module, name, failing)
 
@@ -743,6 +752,83 @@ def assert_only_error(reports, clean, partition, exc, e=3):
         assert report.checked == clean.checked
         assert list(report.timings) == list(clean.timings)
     assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
+
+
+def in_sweep_order(records, e_list, n_max):
+    """records sorted, stably, by their partition's place in the sweep."""
+    place = {}
+    for e in e_list:
+        for n in range(n_max + 1):
+            for lam, _ in enumerate_e_regular_bits(n, e):
+                place[e, format_partition(lam)] = len(place)
+    return sorted(records, key=lambda c: place[c["e"], c["partition"]])
+
+
+# with CHUNK = 3 the e = 3, n = 7 bucket is chunked (7) (6,1) (5,2) | (5,1,1) (4,3)
+# (4,2,1) | (3,3,1) (3,2,2) (3,2,1,1); at depth_limit=1 all but (5,1,1) and (3,2,2)
+# are depth_exceeded, so a fault in the walks replaces a record, and the symbol
+# check, which needs a trace, is faulted on those two
+@pytest.mark.parametrize(
+    "phase, lam",
+    [
+        ("recursion", (6, 1)),
+        ("recursion", (5, 2)),
+        ("symbol", (3, 2, 2)),
+        ("symbol", (5, 1, 1)),
+        ("walks", (4, 3)),
+        ("walks", (3, 2, 1, 1)),
+    ],
+    ids=["recursion-middle", "recursion-edge", "symbol-middle", "symbol-edge", "walks-middle", "walks-edge"],
+)
+def test_a_fault_in_one_phase_is_one_error_record(phase, lam, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK", 3)
+    clean = cross_validate([2, 3], 7, depth_limit=1)
+    assert clean.counterexamples == in_sweep_order(clean.counterexamples, [2, 3], 7)
+    x = beta_bits(lam, len(lam))
+    exc = ValueError("bad part")
+    if phase == "recursion":
+        fail_on(monkeypatch, engine, "mullineux_conjectural", (lam, 3), exc)
+    elif phase == "symbol":
+        fail_on(monkeypatch, engine.kernels, "dual_symbol", (kernels.e_rim_symbol(lam, 3), 3), exc)
+    else:
+        fail_on(monkeypatch, engine, "_tower", (3, x), exc)
+    tower, towers = engine._tower, []
+
+    def spied_tower(*args):
+        towers.append(args[:2])
+        return tower(*args)
+
+    monkeypatch.setattr(engine, "_tower", spied_tower)
+    text = format_partition(lam)
+    error = {"e": 3, "partition": text, "kind": "error", "detail": "ValueError: bad part"}
+    others = [c for c in clean.counterexamples if (c["e"], c["partition"]) != (3, text)]
+    expected = in_sweep_order(others + [error], [2, 3], 7)
+    for jobs in (1, 2):
+        report = cross_validate([2, 3], 7, depth_limit=1, jobs=jobs)
+        assert report.counterexamples == expected, jobs
+        assert report.checked == clean.checked
+        assert report.depth_exceeded == sum(c["kind"] == "depth_exceeded" for c in expected)
+    # the serial run's later phases never saw the partition (the spy sees no Pool worker)
+    assert towers.count((3, x)) == (phase == "walks")
+
+
+def test_chunk_size_leaves_every_document_unchanged(monkeypatch):
+    # the default chunk splits the larger buckets here: 5-regular partitions
+    # of 20 number more than 256
+    def documents():
+        reports = (
+            sweep_conjecture([2, 3, 4, 5], 20, 9),
+            sweep_conjecture([2, 3], 10, 7, regular_only=False),
+            cross_validate([2, 5], 20),
+            cross_validate([2, 3, 4, 5], 14, depth_limit=1),
+        )
+        return [json.dumps(r.to_document()) for r in reports]
+
+    assert len(list(enumerate_e_regular_bits(20, 5))) > engine.CHUNK
+    default = documents()
+    for chunk in (1, 3):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        assert documents() == default, chunk
 
 
 def give_wrong_image(monkeypatch, lam, e, wrong):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mullineux.engine import mullineux_conjectural
-from mullineux.errors import PartitionTooLargeError
+from mullineux.errors import PartitionTooLargeError, clip
 from mullineux.level1 import mullineux_kleshchev
 from mullineux.partitions import (
     MAX_RANK,
@@ -169,6 +169,17 @@ def test_error_text_names_at_most_20_parts():
         as_partition((1,) * MAX_RANK + (2,))
     brief = f"({'1, ' * 20}...) (10001 parts, rank 10002)"
     assert str(info.value) == f"partition must be weakly decreasing, got {brief}"
+
+
+def test_clip_echoes_short_values_whole_and_long_ones_by_their_head():
+    assert [clip(v) for v in (0, -7, 10**20 - 1, "2,,3")] == ["0", "-7", "9" * 20, "'2,,3'"]
+    head = "1" + "0" * 19
+    assert clip(10**20) == f"{head}... (21 digits)"
+    assert clip(-(10**5000)) == f"-{head}... (5001 digits)"  # past str()'s digit limit
+    assert clip(10**4000 - 1) == f"{'9' * 20}... (4000 digits)"
+    assert clip("ab" * 30) == f"{'ab' * 10!r}... (60 characters)"
+    assert partition_text((10**25, 3)) == f"({head}... (26 digits), 3)"
+    assert partition_text((5,)) == "(5,)"
 
 
 # ---------------------------------------------------------------------------
