@@ -191,40 +191,32 @@ def psi_step(e, x1, x2):
 
     Matches x1 into x2 greedily, smallest element first:  each a takes the
     largest unmatched b <= a, falling back to the largest unmatched b.
-    Returns (y1, y2) where y1 is the matched image and y2 collects x1 + e,
-    the unmatched part of x2 shifted by e, and the staircase 0..e-1.
+    Returns (y1, y2), y1 the set of b matched and y2 the staircase 0..e-1,
+    x1 + e and the unmatched part of x2 + e; sets only, never the pairing.
 
-    When x1 is a subset of x2 every a is matched to itself: by induction
-    the elements of x1 below a took themselves, so a is still unmatched
-    and is the largest unmatched b <= a.  Then y1 = x1 and y2 is the
-    staircase followed by x2 + e, with no matching to do; this covers every
-    first stage of a tower, where x1 == x2.
+    The match is parking on a cycle: each a parks on the first free slot of
+    x2 at or below it, wrapping to the top.  The set of slots taken does
+    not depend on the order the beads arrive in: swap two consecutive
+    arrivals, and if both want slot b first, one takes b and the other the
+    next free slot past b, either way round.  So the beads of x1 & x2 park
+    first, each on its own slot, and only x1 & ~x2 park into x2 & ~x1.
+    When that is empty, y1 = x1 and y2 is the staircase and x2 + e; this
+    covers every first stage of a tower, where x1 == x2.
     """
-    # One pass over the bits of x1, lowest first, with avail the unmatched
-    # part of x2: a is the lowest bit low of what is left of x1, and the
-    # match is the top bit of avail & ((low << 1) - 1), the unmatched b <= a.
-    # That is a itself when a is still in avail, which is tested first, and
-    # otherwise the top bit of avail & (low - 1).  The elements of x1 below
-    # its lowest element outside x2 all take themselves, by the induction
-    # above, so they leave both sets at once before the pass.  The matched
-    # image is what left avail, x2 ^ avail.  An a in x1 and x2 is matched by
-    # the end (to itself unless an earlier fallback took it), so x1 and the
-    # unmatched rest are disjoint and y2 is one or.
+    # low, a bead outside x2, takes the top free slot below it, the top bit
+    # of avail & (low - 1), or else avail's top bit.  y1 is x2 less the
+    # free slots left; x1 and those are disjoint, so y2 is one or.
     if x1.bit_count() > x2.bit_count():
         raise ValueError("psi_step needs |x1| <= |x2|")
     staircase = (1 << e) - 1
-    outside = x1 & ~x2
-    if not outside:
+    rest = x1 & ~x2
+    if not rest:
         return x1, (x2 << e) | staircase
-    done = x1 & ((outside & -outside) - 1)
-    avail, rest = x2 ^ done, x1 ^ done
+    avail = x2 & ~x1
     while rest:
         low = rest & -rest
         rest ^= low
-        if avail & low:
-            avail ^= low
-        else:
-            avail ^= 1 << (((avail & (low - 1)) or avail).bit_length() - 1)
+        avail ^= 1 << (((avail & (low - 1)) or avail).bit_length() - 1)
     return x2 ^ avail, ((x1 | avail) << e) | staircase
 
 
@@ -233,17 +225,20 @@ def psi_step_inverse(e, y1, y2):
 
     Drops the staircase, shifts the rest of y2 down by e, then matches y1
     into it smallest element first, each a taking the smallest unmatched
-    b >= a with the smallest unmatched b as fallback.  On bits, with low
-    the lowest bit of what is left of y1, the unmatched b >= a are
-    avail & -low, whose lowest bit is the match.  Once an element falls
-    back, no unmatched b is left above it, so every later element falls
-    back too, to the smallest unmatched entries in order.  As going
-    forward, y1 and the unmatched rest are disjoint.
+    b >= a with the smallest unmatched b as fallback.  This is parking on
+    the cycle the other way, so as going forward the set of slots taken
+    does not depend on the arrival order: the beads of y1 & (y2 >> e) park
+    on their own slots, and only y1 & ~(y2 >> e) park, into the free slots
+    (y2 >> e) & ~y1.  On bits, with low the lowest bead left to park, the
+    free slots at or above it are avail & -low, whose lowest bit it takes.
+    Once a bead falls back, no free slot is left above it, so every later
+    bead falls back too, to the smallest free slots in order.  y1 and the
+    free slots left are disjoint.
     """
     if y1.bit_count() > y2.bit_count() - e:
         raise ValueError("psi_step_inverse needs |y1| <= |y2| - e")
     shifted = y2 >> e
-    avail, rest = shifted, y1
+    avail, rest = shifted & ~y1, y1 & ~shifted
     while rest:
         low = rest & -rest
         above = avail & -low

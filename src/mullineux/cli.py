@@ -50,6 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(text: str) -> int:
+    """An int option's value; argparse echoes a bad one, so it is clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{clip(text)} is not an int") from None
+
+
 def parse_bipartition(text: str) -> tuple[Partition, Partition]:
     if text.count("|") != 1:
         raise ValueError(f"bipartition must be two partitions joined by '|', got {clip(text)}")
@@ -307,10 +315,10 @@ def _add_sweep(sub, name: str, help: str, max_n: int, sweep, options: dict) -> N
     """A sweep subcommand: its own options between the ones every sweep takes."""
     cmd = sub.add_parser(name, help=help)
     cmd.add_argument("--e", default=DEFAULT_E_LIST, help="comma-separated moduli")
-    cmd.add_argument("--max-n", type=int, default=max_n)
+    cmd.add_argument("--max-n", type=_int, default=max_n)
     for flag, kwargs in options.items():
         cmd.add_argument(flag, **kwargs)
-    cmd.add_argument("--jobs", type=int, default=None)
+    cmd.add_argument("--jobs", type=_int, default=None)
     cmd.add_argument("--csv", help="also write a per-bucket CSV summary to this path")
     cmd.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in the report (breaks byte-identity)")
@@ -323,25 +331,25 @@ def build_parser() -> _Parser:
 
     mull = sub.add_parser("mull", help="compute the Mullineux image of a partition")
     mull.add_argument("--method", choices=["kleshchev", "recursive", "both"], default="kleshchev")
-    mull.add_argument("--e", type=int, required=True, help="modulus, at least 2")
+    mull.add_argument("--e", type=_int, required=True, help="modulus, at least 2")
     mull.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. 6,5,2,2,1,1")
     mull.add_argument("--trace", action="store_true", help="include the recursion trace")
-    mull.add_argument("--depth-limit", type=int, default=16)
+    mull.add_argument("--depth-limit", type=_int, default=16)
     mull.add_argument("--oracle-fallback", action="store_true",
                       help="answer too-deep recursive subcalls with the crystal oracle")
     mull.set_defaults(func=cmd_mull)
 
     _add_sweep(sub, "verify-conjecture", "sweep the odd-stage inclusion property", 10,
                sweep_verify_conjecture, {
-                   "--max-k": dict(type=int, default=9),
+                   "--max-k": dict(type=_int, default=9),
                    "--all-partitions": dict(action="store_true",
                                             help="sweep all partitions instead of only e-regular ones"),
                })
     _add_sweep(sub, "cross-validate", "recursive algorithm vs crystal oracle", 8,
-               sweep_cross_validate, {"--depth-limit": dict(type=int, default=16)})
+               sweep_cross_validate, {"--depth-limit": dict(type=_int, default=16)})
 
     psi = sub.add_parser("psi", help="apply a beta-set crystal isomorphism step")
-    psi.add_argument("--e", type=int, required=True)
+    psi.add_argument("--e", type=_int, required=True)
     psi.add_argument("--charges", required=True, help="bicharge, e.g. 0,3")
     psi.add_argument("--bipartition", required=True, help='e.g. "6,5,2|4,1"')
     psi.add_argument("--inverse", action="store_true")
@@ -350,8 +358,8 @@ def build_parser() -> _Parser:
     psi.set_defaults(func=cmd_psi)
 
     export = sub.add_parser("crystal-export", help="export the level-1 crystal graph")
-    export.add_argument("--e", type=int, required=True)
-    export.add_argument("--max-n", type=int, required=True)
+    export.add_argument("--e", type=_int, required=True)
+    export.add_argument("--max-n", type=_int, required=True)
     export.add_argument("--format", choices=["dot", "json"], default="dot")
     export.set_defaults(func=cmd_crystal_export)
 

@@ -74,8 +74,11 @@ from typing import NamedTuple
 
 from mullineux import betamaps
 from mullineux._core import kernels
-from mullineux.errors import ConjectureViolationError, DepthExceededError, NotRegularError, check_modulus
+from mullineux.errors import (
+    ConjectureViolationError, DepthExceededError, NotRegularError, PartitionTooLargeError, check_modulus, clip
+)
 from mullineux.partitions import (
+    MAX_RANK,
     Partition,
     beta_set,  # unused here; bench/layers.py wraps it on this module
     beta_set_from_bits,
@@ -294,9 +297,11 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
     if len(set(e_list)) != len(e_list):
         raise ValueError(f"moduli must be distinct, got {list(e_list)}")
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"n_max must be >= 0, got {clip(n_max)}")
+    if n_max > MAX_RANK:
+        raise PartitionTooLargeError(f"n_max {clip(n_max)} exceeds MAX_RANK = {MAX_RANK}")
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ValueError(f"jobs must be >= 1, got {clip(jobs)}")
     grid = [(e, n) for e in e_list for n in range(n_max + 1)]
     tasks = [(check, e, n, regular_only, params) for e, n in grid]
     if jobs > 1 and len(tasks) > 1:

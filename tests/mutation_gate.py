@@ -32,6 +32,8 @@ ENGINE = "src/mullineux/engine.py"
 ENGINE_TESTS = "tests/test_engine.py"
 PARTITIONS = "src/mullineux/partitions.py"
 PARTITIONS_TESTS = "tests/test_partitions.py"
+KERNELS = "src/mullineux/_core/kernels.py"
+BETAMAPS_TESTS = "tests/test_betamaps.py"
 
 # (name, file, old text, new text, test file that kills it)
 MUTANTS = [
@@ -87,6 +89,11 @@ MUTANTS = [
     ("minimal-bits-one-bead-too-many", PARTITIONS,
      "    return beta_bits(lam, max(1, len(lam)))", "    return beta_bits(lam, max(1, len(lam)) + 1)",
      PARTITIONS_TESTS),
+    # the step kernels park only the beads with no slot of their own
+    ("forward-free-slots-include-settled", KERNELS,
+     "    avail = x2 & ~x1", "    avail = x2", BETAMAPS_TESTS),
+    ("inverse-settled-beads-move", KERNELS,
+     "y1 & ~shifted", "y1", BETAMAPS_TESTS),
     ("regularity-pre-check-dropped", ENGINE,
      "    if not beta_set_is_e_regular(x, e):\n        raise NotRegularError",
      "    if False:\n        raise NotRegularError", ENGINE_TESTS),

@@ -256,6 +256,63 @@ def test_kernels_match_the_tuple_references_on_random_pairs(rng, monkeypatch):
     assert all(checked.fallbacks.values()), checked.fallbacks
 
 
+def check_both_kernels(e, x1, x2):
+    """Both kernels on bitsets x1, x2 (|x1| <= |x2|) against the tuple
+    references, the inverse reading y2 = the staircase 0..e-1 and x2 + e.
+    The beads on a slot of their own stay there: the first output contains
+    x1 & x2 going forward and y1 & (y2 >> e) going back."""
+    pair = pair_from_bits((x1, x2))
+    y1, y2 = kernels.psi_step(e, x1, x2)
+    assert pair_from_bits((y1, y2)) == beta_reference.psi_step(e, *pair), (e, pair)
+    assert y1 & x1 & x2 == x1 & x2, (e, pair)
+    stacked = x2 << e | ((1 << e) - 1)
+    back = kernels.psi_step_inverse(e, x1, stacked)
+    assert pair_from_bits(back) == beta_reference.psi_step_inverse(e, *pair_from_bits((x1, stacked))), (e, pair)
+    assert back[0] & x1 & (stacked >> e) == x1 & x2, (e, pair)
+
+
+def test_kernels_match_the_tuple_references_exhaustively():
+    # every pair of bitsets of width <= 7 that meets the size contract
+    for e in (2, 3):
+        for x2 in range(1 << 7):
+            for x1 in range(1 << 7):
+                if x1.bit_count() <= x2.bit_count():
+                    check_both_kernels(e, x1, x2)
+
+
+def test_kernels_match_the_tuple_references_on_wide_random_pairs(rng):
+    # 150-600 bits, the widths of the large-rank bench's beta-sets
+    for _ in range(1000):
+        e = rng.randint(2, 9)
+        top = rng.randint(150, 600)
+        x2 = sorted(rng.sample(range(top), rng.randint(1, top // 2)))
+        x1 = sorted(rng.sample(range(top), rng.randint(0, len(x2))))
+        check_both_kernels(e, *pair_to_bits((x1, x2)))
+
+
+def park(beads, slots, down):
+    """The set of slots the beads take, arriving in the order given: each
+    takes the first free slot at or below it (down) or at or above it,
+    wrapping round the cycle."""
+    free = sorted(slots, reverse=down)
+    for a in beads:
+        ahead = [b for b in free if (b <= a if down else b >= a)]
+        free.remove(ahead[0] if ahead else free[0])
+    return set(slots) - set(free)
+
+
+@given(beta_sets(max_value=30), beta_sets(max_value=30), st.randoms(use_true_random=False))
+@settings(max_examples=300)
+def test_the_slots_taken_do_not_depend_on_the_arrival_order(a, b, rand):
+    # the kernels park only the beads with no slot of their own, which is
+    # exact because the taken set is the same in every order
+    x1, x2 = (a, b) if len(a) <= len(b) else (b, a)
+    shuffled = rand.sample(x1, len(x1))
+    for down in (True, False):
+        assert park(shuffled, x2, down) == park(x1, x2, down)
+    assert tuple(sorted(park(shuffled, x2, True))) == psi_step(2, x1, x2)[0]
+
+
 def test_kernels_keep_the_size_contract():
     # |x1| <= |x2| going forward and |y1| <= |y2| - e going back, at the edge
     x1, x2 = pair_to_bits(((1, 4, 6), (0, 2, 3)))

@@ -419,6 +419,50 @@ def test_psi_charges_need_two_ints(capsys):
         assert f"mullineux: error: {message}" in err
 
 
+def test_sweep_rank_above_the_bound_is_refused_before_any_bucket(capsys, monkeypatch):
+    def forbidden(task):
+        raise AssertionError("a bucket ran")
+
+    monkeypatch.setattr(cli.engine, "_bucket", forbidden)
+    for command in ("verify-conjecture", "cross-validate"):
+        for max_n, says in (
+            (str(MAX_RANK + 1), f"n_max {MAX_RANK + 1} exceeds MAX_RANK = {MAX_RANK}"),
+            ("9" * 4000, "n_max 99999999999999999999... (4000 digits) exceeds MAX_RANK"),
+        ):
+            for jobs in ("1", "2"):
+                code, out, err = run_cli(capsys, command, "--e", "2", "--max-n", max_n, "--jobs", jobs)
+                assert (code, out) == (1, ""), (command, jobs)
+                assert len(err.encode()) <= 300 and f"mullineux: error: {says}" in err, err[:400]
+    # MAX_RANK itself is in range: every bucket up to it runs
+    ranks = []
+    monkeypatch.setattr(cli.engine, "_bucket", lambda task: ranks.append(task[2]) or (0, [], 0.0))
+    code, _, _ = run_cli(capsys, "cross-validate", "--e", "2", "--max-n", str(MAX_RANK), "--jobs", "1")
+    assert code == 0 and ranks == list(range(MAX_RANK + 1))
+
+
+def test_int_options_clip_the_value_they_echo(capsys, monkeypatch):
+    # 5,000 digits are past int()'s digit limit, so argparse's type check
+    # refuses them; the message names only the first ERROR_TEXT_CHARS.  The
+    # usage text above it wraps at the terminal width, 80 columns without one
+    monkeypatch.setenv("COLUMNS", "80")
+    d5 = "9" * 5000
+    says = f"{clip(d5)} is not an int"
+    for argv in (["cross-validate", "--max-n", d5], ["mull", "--e", d5, "--lambda", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert len(err.encode()) <= 300 and says in err, err[:400]
+    for argv in (
+        ["verify-conjecture", "--max-n", d5], ["verify-conjecture", "--max-k", d5],
+        ["verify-conjecture", "--jobs", d5], ["cross-validate", "--depth-limit", d5],
+        ["mull", "--e", "2", "--lambda", "1", "--depth-limit", d5],
+        ["psi", "--e", d5, "--charges", "0,0", "--bipartition", "1|1"],
+        ["crystal-export", "--e", "2", "--max-n", d5],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert says in err and "9" * (ERROR_TEXT_CHARS + 1) not in err, err[:400]
+
+
 def test_sweep_moduli_must_be_ints(capsys):
     for command in ("verify-conjecture", "cross-validate"):
         code, out, err = run_cli(capsys, command, "--e", "2,x", "--max-n", "3", "--jobs", "1")
