@@ -2,8 +2,8 @@
 
 These are the inner loops of the sweep harnesses: the row scans of the
 crystal moves, the Mullineux map they compose to (Kleshchev's algorithm),
-Mullineux's e-rim symbol and its dual, which cross-validation checks an
-image against, and the greedy beta-set matching step.  Callers, level1's
+the removal of an e-rim, from which cross-validation reads Mullineux's
+e-rim symbols, and the greedy beta-set matching step.  Callers, level1's
 moves among them, look the functions up on this module at call time
 (kernels.psi_step(...)), so a wrapper installed on a module attribute sees
 every call.
@@ -31,6 +31,7 @@ starts at the largest row index.
 # the rank-one moves, path stripping and replay from the same scans.
 
 from mullineux.errors import check_modulus
+from mullineux.partitions import minimal_beta_set
 
 
 def _open_removable(rows, e):
@@ -141,49 +142,35 @@ def mullineux(parts, e):
     return _replay_strings(strings, e)
 
 
-def _remove_rim(cur, e):
-    """Remove the e-rim from the list cur in place; returns the nodes removed.
-
-    The e-rim is cut into segments of at most e rim nodes.  The first
-    starts at the last node of row 1; each runs down the rim, taking
-    min(left, rim_r) nodes in row r, where rim_r = parts_r - parts_{r+1} + 1
-    (parts_r in the last row), and the next starts on the row after the one
-    where the previous ran out.  Every row loses at least one node.
-    """
-    last = len(cur) - 1
-    left, size = e, 0
-    for r in range(last):
-        take = cur[r] - cur[r + 1] + 1
-        if take > left:
-            take = left
-        cur[r] -= take
-        size += take
-        left = left - take or e
-    if last >= 0:
-        take = cur[last] if cur[last] < left else left
-        cur[last] -= take
-        size += take
-    while cur and not cur[-1]:
-        cur.pop()
-    return size
+# The e-rim on a beta-set.  Let b_1 > ... > b_R be the beads at minimal
+# padding and b_{R+1} = 0.  Row r has lam_r - lam_{r+1} + 1 rim nodes (lam_R
+# in the last row), so the rim nodes of rows r through q number
+# b_r - b_{q+1}.  A segment that starts at the end of row r, at bead p = b_r,
+# takes e of them and so ends in row q, the row of the lowest bead above
+# p - e; when p < e it runs out of rim in the last row and has p nodes.
+# Removing it leaves each of rows r..q-1 one node shorter than the row
+# below, so their beads shift onto b_{r+1}, ..., b_q, and row q's bead
+# lands on p - e, or on 0 when the rim ran out: bead p moves to
+# max(p - e, 0) and the rest stay.  The next segment starts on row q + 1,
+# whose bead is the top bead <= p - e.  So removing the e-rim is the chain
+# s_1 = the top bead, s_{k+1} = the top bead <= s_k - e, each s_k moving to
+# max(s_k - e, 0).  A landing on the next start cancels with that start's
+# move; 0 is free at minimal padding; and a bead moved from p down to a free
+# slot q removes p - q nodes.
 
 
-def e_rim_symbol(parts, e):
-    """The e-rim symbol: one column (A, R) per e-rim removed down to the
-    empty partition, A nodes removed from a partition of R rows."""
-    check_modulus(e)
-    cur = list(parts)
-    columns = []
-    while cur:
-        rows = len(cur)
-        columns.append((_remove_rim(cur, e), rows))
-    return columns
-
-
-def dual_symbol(columns, e):
-    """The columns (A, A - R + eps), eps = 0 if e divides A and 1 otherwise:
-    the symbol of the Mullineux image (an involution)."""
-    return [(size, size - rows + (1 if size % e else 0)) for size, rows in columns]
+def remove_e_rim(x, e):
+    """(A, R, rest) for the partition the bitset x encodes at minimal
+    padding, not empty: its e-rim has A nodes, it has R rows, and rest is
+    the bitset of what is left, at minimal padding."""
+    size, rest, below = 0, x, x
+    while below:
+        p = below.bit_length() - 1
+        q = max(p - e, 0)
+        size += p - q
+        rest ^= (1 << p) | (1 << q)
+        below = x & ((2 << q) - 1)  # nothing at q = 0, which is free
+    return size, x.bit_count(), minimal_beta_set(rest)
 
 
 def psi_step(e, x1, x2):

@@ -42,11 +42,20 @@ MAX_EXPORT_RANK = 30
 MAX_WALK_RANK = 1000
 
 
+# the characters of argparse's own error message that a usage error shows
+USAGE_MESSAGE_CHARS = 150
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the exit-code contract wants 1
+    # argparse exits with 2 on usage errors; the exit-code contract wants 1.
+    # A usage error names the command and --help instead of printing the
+    # usage block (about 190 bytes for a sweep), and shows the head of a
+    # message that argparse filled with whole arguments (an invalid choice,
+    # unrecognized arguments), so that it stays within a few hundred bytes
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        if len(message) > USAGE_MESSAGE_CHARS:
+            message = f"{message[:USAGE_MESSAGE_CHARS]}... ({len(message)} characters)"
+        print(f"{self.prog}: error: {message}\n(see {self.prog} --help)", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -101,10 +110,13 @@ def _default_jobs() -> int:
             raise ValueError(f"MULLINEUX_JOBS must be >= 1, got {clip(jobs)}")
         return jobs
     # the CPUs this process may run on, which taskset or a cpuset can make
-    # fewer than the host has
+    # fewer than the host has, up to the most workers a sweep opens; only an
+    # explicit count above that is refused
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, engine.MAX_JOBS)
 
 
 @contextlib.contextmanager

@@ -7,12 +7,13 @@ stop at the first stage that meets the walks' shortcut, since every later
 stage is then provably an inclusion (see conjecture_tower); the report is
 the one the full towers give.  The cross-validation sweep checks three
 statements on every e-regular partition lam: the recursion's image, which
-it accepts when it is e-regular with the dual (kernels.dual_symbol) of
-lam's e-rim symbol, since that symbol determines an e-regular partition
-(Mullineux 1979; Ford-Kleshchev 1997), running Kleshchev's algorithm
-(kernels.mullineux) only on a mismatch, for the record; and the walks of
-(lam, lam) at moduli 2e and e, the latter being lam's stopped tower,
-whose odd-stage failures it records.
+it accepts when it is e-regular with the dual of lam's e-rim symbol, since
+that symbol determines an e-regular partition (Mullineux 1979;
+Ford-Kleshchev 1997), running Kleshchev's algorithm
+(kernels.mullineux) only on a mismatch, for the record, and reading both
+symbols off bitsets through one memo (_symbols); and the walks of (lam,
+lam) at moduli 2e and e, the latter being lam's stopped tower, whose
+odd-stage failures it records.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -34,7 +35,11 @@ raises leaves no entry, so a violation is raised again, never masked.  A
 hit returns the very trace computed first, so trace trees share
 subtrees.  The top level bypasses the memo (_node.__wrapped__): a sweep
 checks each partition once, so its entry would only push out a child
-that recurs.  MEMO_SIZE is sized to the children's working set.
+that recurs.  A second memo wraps _symbols, keyed on (bitset, modulus):
+it holds each partition's e-rim symbol and its dual as cons cells whose
+tails are the entry of the partition less its e-rim, so a sweep removes
+each rim about once.  MEMO_SIZE and SYMBOL_MEMO_SIZE are sized together
+(see the table above MEMO_SIZE).
 
 Both sweeps are one pipeline.  _sweep validates the arguments, runs
 _bucket on every (e, n) bucket and merges checked, counterexamples and
@@ -102,6 +107,9 @@ from mullineux.schema import SCHEMA_VERSION
 Bits = int
 BitPair = tuple[Bits, Bits]
 CHUNK = 256  # partitions per check call; see the module docstring's table
+# the most worker processes a sweep opens, at one per (e, n) bucket; a
+# larger count is refused before any Pool is built
+MAX_JOBS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +310,8 @@ def _sweep(command, parameters, check, params, e_list, n_max, regular_only, jobs
         raise PartitionTooLargeError(f"n_max {clip(n_max)} exceeds MAX_RANK = {MAX_RANK}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {clip(jobs)}")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs {clip(jobs)} exceeds MAX_JOBS = {MAX_JOBS}")
     grid = [(e, n) for e in e_list for n in range(n_max + 1)]
     tasks = [(check, e, n, regular_only, params) for e, n in grid]
     if jobs > 1 and len(tasks) > 1:
@@ -436,28 +446,36 @@ class MullineuxTrace(
         return doc
 
 
-# On an in-process cross_validate(e=2..5, n<=26), 17,508 top-level nodes
-# have 7,915 distinct children.  Node computations there (children computed
-# plus top-level nodes) and peak RSS, for that sweep and for one 200-input
-# round of bench/run.py's large-rank workload run in-process, against a
-# 512-node memo that also held the top level (2-core x86-64 host, Python
-# 3.11, median of three processes; entries hold bitsets):
+# The two memos are sized together.  On an in-process cross_validate(e =
+# 2..5, n <= 26), 17,508 top-level nodes have 7,915 distinct children, and
+# the symbol check reads the symbols of 17,508 partitions, 17,504 of them
+# with a rim.  Children computed (_node misses), rims removed (rim-removal
+# calls) and CPU (the least of 21 runs on a shared host) there, and the
+# median peak RSS of 5 bench/workload.py rounds of crossval-sweep and of
+# large-rank, run round-robin (2-core x86-64 host, Python 3.11), against
+# 1,536 nodes and no symbol memo, where each check removed every rim of
+# both sides row by row; "none" at 2,048 nodes removes them on the bitset
+# (kernels.remove_e_rim), still every rim at every check:
 #
-#     MEMO_SIZE              node computations  peak RSS, crossval  large-rank
-#     512, top level in it   50,052             15.1 MiB            19.3 MiB
-#     512                    45,911             -0.0 MiB            +0.0 MiB
-#     1,024                  35,119             +0.3 MiB            +0.3 MiB
-#     1,536                  28,684             +0.5 MiB            +0.5 MiB
-#     2,048                  25,536             +0.8 MiB            +0.7 MiB
-#     4,096                  25,423             +1.7 MiB            +1.5 MiB
+#     MEMO_SIZE  SYMBOL_MEMO_SIZE  children  rims     CPU     crossval  large-rank
+#     1,536      none, row by row  11,176    134,690  349 ms  20.9 MiB  20.5 MiB
+#     2,048      none               8,028    134,690  345 ms  +0.4 MiB  +0.3 MiB
+#     1,536      2,048             11,176     19,551  300 ms  +0.9 MiB  +0.1 MiB
+#     2,048      1,024              8,028     27,517  306 ms  +0.6 MiB  +0.3 MiB
+#     2,048      1,536              8,028     22,073  314 ms  +1.0 MiB  +0.3 MiB
+#     2,048      2,048              8,028     19,551  292 ms  +1.1 MiB  +0.3 MiB
+#     2,048      4,096              8,028     17,933  308 ms  +2.3 MiB  +0.4 MiB
+#     4,096      2,048              7,915     19,551  314 ms  +2.1 MiB  +1.1 MiB
 #
-# 4,096 nodes reach the floor, one computation per distinct node.  1,536
-# come within 13% of it for under a third of the extra memory, and were the
-# largest size that kept bench/run.py's peak RSS within 5% of the 512-node
-# memo on both workloads even with tuple entries (+0.8 MiB at 1,536 nodes;
-# 2,048 added 5.3% on crossval-sweep).  An unbounded memo also reaches the
-# floor, but grows with the sweep: +2.5 MiB on this one.
-MEMO_SIZE = 1536  # recursion nodes per process
+# 2,048 of each come within 2% and 12% of the floors for +5% peak RSS on
+# crossval-sweep and +2% on large-rank, inside the bench's 10% bound;
+# doubling either costs another MiB for little.  The symbol memo carries
+# the gain: in 10 alternating 20 s bench/run.py pairs on crossval-sweep,
+# 2,048 nodes with no symbol memo read 20,062/s and with it 24,049/s
+# (+20%, 10 of 10 pairs), for +0.9 MiB peak RSS (BENCH_30.json).
+# Unbounded memos reach the floors too, but grow with the sweep.
+MEMO_SIZE = 2048  # recursion nodes per process
+SYMBOL_MEMO_SIZE = 2048  # symbol-check entries per process
 
 
 def _diagonal_walk(e: int, x: Bits) -> BitPair:
@@ -562,6 +580,55 @@ def _recursion_phase(lam: Partition, x: Bits, e: int, _, depth_limit: int):
         return [_failure(lam, e, kind="depth_exceeded", detail=str(exc))], None
 
 
+@functools.lru_cache(maxsize=SYMBOL_MEMO_SIZE)
+def _symbols(x: Bits, e: int):
+    """(symbol, dual) of the partition x encodes at minimal padding: its
+    e-rim symbol, one column (A, R) per e-rim removed down to the empty
+    partition, A nodes removed from a partition of R rows, and the dual
+    with columns (A, A - R + eps), eps = 0 if e divides A and 1 otherwise,
+    the symbol of the Mullineux image; each as cons cells (A, R, tail)
+    ending in ()."""
+    # the tails come from the entry of x less its e-rim, so entries share
+    # them and a partition's rim is removed once while its entry stays; a
+    # column inside its cell saves a tuple a side (0.27 MiB at 2,048
+    # entries), and one flat tuple a side would hold 0.5 MiB more at peak
+    if x == 1:
+        return (), ()
+    size, rows, rest = kernels.remove_e_rim(x, e)
+    symbol, dual = _symbols(rest, e)
+    return (size, rows, symbol), (size, size - rows + (1 if size % e else 0), dual)
+
+
+# A partition has at most as many e-rims as its first part, so _symbols
+# nests at most this deep for one whose first part is this or less.
+SHALLOW = 256
+
+
+def _symbol_entry(x: Bits, e: int):
+    """_symbols(x, e), with x's chain of rims entered from the bottom up
+    first when its first part is above SHALLOW: a cold chain of about 1,000
+    rims would pass the interpreter's recursion limit."""
+    if x.bit_length() - x.bit_count() > SHALLOW:
+        chain, y = [], x
+        while y != 1:
+            chain.append(y)
+            y = kernels.remove_e_rim(y, e)[2]
+        for y in reversed(chain):
+            _symbols(y, e)
+    return _symbols(x, e)
+
+
+def _same_columns(a, b) -> bool:
+    """Whether the cons cells a and b hold the same columns.  A loop, since
+    == on cons cells nests once per column and passes the interpreter's
+    recursion limit near 1,000 columns; it adds about 0.2 us a check."""
+    while a or b:
+        if not (a and b) or a[0] != b[0] or a[1] != b[1]:
+            return False
+        a, b = a[2], b[2]
+    return True
+
+
 def _symbol_phase(lam: Partition, x: Bits, e: int, result, _):
     """Accept the recursion's image when it is e-regular and its e-rim symbol
     is the dual of lam's; otherwise record Kleshchev's image if it differs."""
@@ -569,7 +636,7 @@ def _symbol_phase(lam: Partition, x: Bits, e: int, result, _):
         recursive, trace = result
         if not (
             beta_set_is_e_regular(trace.image_beta, e)
-            and kernels.e_rim_symbol(recursive, e) == kernels.dual_symbol(kernels.e_rim_symbol(lam, e), e)
+            and _same_columns(_symbol_entry(trace.image_beta, e)[0], _symbol_entry(x, e)[1])
         ):
             oracle = kernels.mullineux(lam, e)
             if recursive != oracle:

@@ -6,6 +6,7 @@ diagram directly.  This module spells out the definitions those maps are
 checked against, and nothing in the package imports it:
 
 - the level-1 signature words of single residues, with their good nodes;
+- Mullineux's e-rim, removed row by row, and the e-rim symbol;
 - the greedy matching behind the beta-set step, pair by pair;
 - the level-2 Fock-space crystal on bipartitions, parameterized by a
   bicharge.
@@ -95,6 +96,63 @@ def good_removable(lam: Partition, j: int, e: int) -> Node | None:
         if kind == "R":
             return node
     return None
+
+
+# ---------------------------------------------------------------------------
+# the e-rim symbol
+
+
+def remove_rim(lam: Partition, e: int) -> tuple[Partition, int]:
+    """(rest, nodes removed) of lam's e-rim, removed row by row.
+
+    The e-rim is cut into segments of at most e rim nodes.  The first
+    starts at the last node of row 1; each runs down the rim, taking
+    min(left, rim_r) nodes in row r, where rim_r = parts_r - parts_{r+1} + 1
+    (parts_r in the last row), and the next starts on the row after the one
+    where the previous ran out.  Every row loses at least one node.
+    """
+    cur = list(lam)
+    last = len(cur) - 1
+    left, size = e, 0
+    for r in range(last):
+        take = min(cur[r] - cur[r + 1] + 1, left)
+        cur[r] -= take
+        size += take
+        left = left - take or e
+    if last >= 0:
+        take = min(cur[last], left)
+        cur[last] -= take
+        size += take
+    while cur and not cur[-1]:
+        cur.pop()
+    return tuple(cur), size
+
+
+def e_rim_symbol(lam: Partition, e: int) -> list[tuple[int, int]]:
+    """One column (A, R) per e-rim removed down to the empty partition, A
+    nodes removed from a partition of R rows."""
+    columns = []
+    while lam:
+        rows = len(lam)
+        lam, size = remove_rim(lam, e)
+        columns.append((size, rows))
+    return columns
+
+
+def dual_symbol(columns: list[tuple[int, int]], e: int) -> list[tuple[int, int]]:
+    """The columns (A, A - R + eps), eps = 0 if e divides A and 1 otherwise:
+    the symbol of the Mullineux image (an involution)."""
+    return [(size, size - rows + (1 if size % e else 0)) for size, rows in columns]
+
+
+def columns(cells) -> list[tuple[int, int]]:
+    """The columns (A, R) of a symbol held as cons cells (A, R, tail), the
+    form engine._symbols keeps."""
+    out = []
+    while cells:
+        size, rows, cells = cells
+        out.append((size, rows))
+    return out
 
 
 # ---------------------------------------------------------------------------

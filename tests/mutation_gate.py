@@ -34,6 +34,7 @@ PARTITIONS = "src/mullineux/partitions.py"
 PARTITIONS_TESTS = "tests/test_partitions.py"
 KERNELS = "src/mullineux/_core/kernels.py"
 BETAMAPS_TESTS = "tests/test_betamaps.py"
+LEVEL1_TESTS = "tests/test_level1.py"
 
 # (name, file, old text, new text, test file that kills it)
 MUTANTS = [
@@ -94,6 +95,18 @@ MUTANTS = [
      "    avail = x2 & ~x1", "    avail = x2", BETAMAPS_TESTS),
     ("inverse-settled-beads-move", KERNELS,
      "y1 & ~shifted", "y1", BETAMAPS_TESTS),
+    # the e-rim chain moves each start s to max(s - e, 0); a landing on the
+    # next start cancels its move
+    ("rim-landing-does-not-cancel", KERNELS,
+     "        rest ^= (1 << p) | (1 << q)", "        rest = rest & ~(1 << p) | (1 << q)", LEVEL1_TESTS),
+    ("rim-short-segment-counted-as-e", KERNELS,
+     "        size += p - q", "        size += e", LEVEL1_TESTS),
+    # a symbol memo entry's tail is the entry of its own partition less its rim
+    ("symbol-tail-of-another-partition", ENGINE,
+     "    symbol, dual = _symbols(rest, e)", "    symbol, dual = _symbols(conjugate_beta_set(rest), e)", ENGINE_TESTS),
+    # the symbol check compares every column of both sides, not a prefix
+    ("symbol-check-accepts-a-prefix", ENGINE,
+     "    while a or b:\n", "    while a and b:\n", ENGINE_TESTS),
     ("regularity-pre-check-dropped", ENGINE,
      "    if not beta_set_is_e_regular(x, e):\n        raise NotRegularError",
      "    if False:\n        raise NotRegularError", ENGINE_TESTS),

@@ -326,7 +326,7 @@ def test_sweep_error_exits_two(capsys, monkeypatch):
         raise RuntimeError("broken check")
 
     monkeypatch.setattr(cli.engine, "_tower", broken)
-    monkeypatch.setattr(cli.engine.kernels, "e_rim_symbol", broken)
+    monkeypatch.setattr(cli.engine, "_symbols", broken)
     for command in ("verify-conjecture", "cross-validate"):
         code, out, _ = run_cli(capsys, command, "--e", "3", "--max-n", "1", "--jobs", "1")
         assert code == 2
@@ -442,16 +442,13 @@ def test_sweep_rank_above_the_bound_is_refused_before_any_bucket(capsys, monkeyp
 
 def test_int_options_clip_the_value_they_echo(capsys, monkeypatch):
     # 5,000 digits are past int()'s digit limit, so argparse's type check
-    # refuses them; the message names only the first ERROR_TEXT_CHARS.  The
-    # usage text above it wraps at the terminal width, 80 columns without one
+    # refuses them; the message names only the first ERROR_TEXT_CHARS.  A
+    # usage block would wrap at the terminal width, 80 columns without one
     monkeypatch.setenv("COLUMNS", "80")
     d5 = "9" * 5000
     says = f"{clip(d5)} is not an int"
-    for argv in (["cross-validate", "--max-n", d5], ["mull", "--e", d5, "--lambda", "1"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, ""), argv[:2]
-        assert len(err.encode()) <= 300 and says in err, err[:400]
     for argv in (
+        ["cross-validate", "--max-n", d5], ["mull", "--e", d5, "--lambda", "1"],
         ["verify-conjecture", "--max-n", d5], ["verify-conjecture", "--max-k", d5],
         ["verify-conjecture", "--jobs", d5], ["cross-validate", "--depth-limit", d5],
         ["mull", "--e", "2", "--lambda", "1", "--depth-limit", d5],
@@ -460,7 +457,82 @@ def test_int_options_clip_the_value_they_echo(capsys, monkeypatch):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv[:2]
-        assert says in err and "9" * (ERROR_TEXT_CHARS + 1) not in err, err[:400]
+        assert len(err.encode()) <= 300 and says in err, err[:400]
+        assert "9" * (ERROR_TEXT_CHARS + 1) not in err, err[:400]
+        assert f"(see mullineux {argv[0]} --help)" in err, err[:400]
+
+
+def test_argparse_messages_show_their_head(capsys, monkeypatch):
+    # argparse echoes an invalid choice or unrecognized arguments whole
+    monkeypatch.setenv("COLUMNS", "80")
+    d5 = "9" * 5000
+    for argv, says in (
+        (["mull", "--method", d5, "--e", "2", "--lambda", "1"], "argument --method: invalid choice: '999"),
+        (["mull", "--e", "2", "--lambda", "1", d5], "unrecognized arguments: 999"),
+        ([d5], "argument command: invalid choice: '999"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert len(err.encode()) <= 300 and says in err, err[:400]
+        assert err.splitlines()[0].endswith(" characters)"), err[:400]
+
+
+def test_jobs_above_the_bound_are_refused_before_any_pool(capsys, monkeypatch):
+    # a stand-in Pool fails if it is built; no worker process is started
+    import multiprocessing
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Pool or a bucket ran")
+
+    monkeypatch.setattr(multiprocessing, "Pool", forbidden)
+    monkeypatch.setattr(cli.engine, "_bucket", forbidden)
+    bound = cli.engine.MAX_JOBS
+    for command in ("verify-conjecture", "cross-validate"):
+        for jobs, says in ((str(bound + 1), str(bound + 1)), ("100000", "100000"), ("9" * 4000, clip(int("9" * 4000)))):
+            code, out, err = run_cli(capsys, command, "--max-n", str(MAX_RANK), "--jobs", jobs)
+            assert (code, out) == (1, ""), (command, jobs[:10])
+            assert len(err.encode()) <= 300 and f"mullineux: error: jobs {says} exceeds MAX_JOBS = {bound}" in err
+            monkeypatch.setenv("MULLINEUX_JOBS", jobs)
+            code, out, err = run_cli(capsys, command, "--max-n", str(MAX_RANK))
+            monkeypatch.delenv("MULLINEUX_JOBS")
+            assert (code, out) == (1, ""), (command, jobs[:10])
+            assert len(err.encode()) <= 300 and f"mullineux: error: jobs {says} exceeds MAX_JOBS = {bound}" in err
+    # MAX_JOBS itself is accepted; one bucket runs serially, with no Pool
+    monkeypatch.setattr(cli.engine, "_bucket", lambda task: (0, [], 0.0))
+    code, _, _ = run_cli(capsys, "cross-validate", "--e", "2", "--max-n", "0", "--jobs", str(bound))
+    assert code == 0
+
+
+def test_default_jobs_on_a_large_host_are_capped_at_the_bound(capsys, monkeypatch):
+    # 128 usable CPUs and no --jobs or MULLINEUX_JOBS: the sweep runs with
+    # MAX_JOBS workers instead of refusing; a stand-in Pool starts none
+    import multiprocessing
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            workers.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.delenv("MULLINEUX_JOBS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    bound = cli.engine.MAX_JOBS
+    assert cli._default_jobs() == bound
+    serial = cli.engine.cross_validate([2, 3, 4, 5], 20).to_document()
+    code, out, err = run_cli(capsys, "cross-validate", "--max-n", "20")
+    assert (code, err) == (0, "")
+    assert workers == [bound]
+    assert json.loads(out) == serial
 
 
 def test_sweep_moduli_must_be_ints(capsys):

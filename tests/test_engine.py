@@ -39,6 +39,7 @@ from mullineux.partitions import (
 )
 
 import beta_reference
+import crystal_reference
 import enumerate_reference
 
 X_STAR = (0, 3, 5, 6, 10, 12, 15, 18, 20)
@@ -722,12 +723,14 @@ def fail_on(monkeypatch, module, name, args, exc):
             "3,1",
             id="tower",
         ),
-        # the sweep reads the symbol of lam and of its image, so the fault is
-        # on a partition that is its own image, (3,1,1) at e = 3
+        # the sweep reads the symbol memo's entries of lam and of its image, so
+        # the fault is on a partition that is its own image, (3,1,1) at e = 3;
+        # the clean run leaves every entry in the memo, so no larger
+        # partition asks for (3,1,1)'s entry as its tail
         pytest.param(
             lambda jobs: cross_validate([2, 3], 7, jobs=jobs),
-            (engine.kernels, "e_rim_symbol"),
-            ((3, 1, 1), 3),
+            (engine, "_symbols"),
+            (beta_bits((3, 1, 1), 3), 3),
             ValueError("bad part"),
             "3,1,1",
             id="e-rim-symbol",
@@ -739,6 +742,26 @@ def test_unexpected_exception_is_a_counterexample(sweep, target, args, exc, part
     assert clean.verified
     fail_on(monkeypatch, *target, args, exc)
     assert_only_error([sweep(jobs) for jobs in (1, 2)], clean, partition, exc)
+
+
+def fail_on_dual(monkeypatch, x, e, exc):
+    """Make reading the dual off the symbol memo's entry for (x, e) raise
+    exc: the symbol check's side of lam, when x is lam's bitset.  The side
+    of an image reads the symbol, and a memo miss unpacks its tail's entry,
+    so neither raises."""
+    symbols = engine._symbols
+
+    class Entry(tuple):
+        def __getitem__(self, i):
+            if i == 1:
+                raise exc
+            return tuple.__getitem__(self, i)
+
+    def faulty(*args):
+        entry = symbols(*args)
+        return Entry(entry) if args == (x, e) else entry
+
+    monkeypatch.setattr(engine, "_symbols", faulty)
 
 
 def assert_only_error(reports, clean, partition, exc, e=3):
@@ -789,7 +812,7 @@ def test_a_fault_in_one_phase_is_one_error_record(phase, lam, monkeypatch):
     if phase == "recursion":
         fail_on(monkeypatch, engine, "mullineux_conjectural", (lam, 3), exc)
     elif phase == "symbol":
-        fail_on(monkeypatch, engine.kernels, "dual_symbol", (kernels.e_rim_symbol(lam, 3), 3), exc)
+        fail_on_dual(monkeypatch, x, 3, exc)
     else:
         fail_on(monkeypatch, engine, "_tower", (3, x), exc)
     tower, towers = engine._tower, []
@@ -863,6 +886,62 @@ def test_wrong_image_is_a_mullineux_mismatch(wrong, monkeypatch):
             }
         ]
     assert json.dumps(reports[0].to_document()) == json.dumps(reports[1].to_document())
+
+
+@pytest.fixture
+def cold_symbols():
+    """Start from an empty symbol memo and leave none of this test's entries behind."""
+    engine._symbols.cache_clear()
+    yield
+    engine._symbols.cache_clear()
+
+
+def test_symbol_memo_holds_each_symbol_and_its_dual(cold_symbols):
+    # in sweep order each partition is new and its cells' tails are the
+    # entry of the partition less its rim, which the memo holds
+    memo = engine._symbols.cache_info
+    for e in (2, 3, 4, 5):
+        for n in range(17):
+            for lam, x in enumerate_e_regular_bits(n, e):
+                symbol, dual = engine._symbols(x, e)
+                expected = crystal_reference.e_rim_symbol(lam, e)
+                assert crystal_reference.columns(symbol) == expected, (lam, e)
+                assert crystal_reference.columns(dual) == crystal_reference.dual_symbol(expected, e), (lam, e)
+                if lam:
+                    rest = kernels.remove_e_rim(x, e)[2]
+                    tail = engine._symbols(rest, e)
+                    assert symbol[2] is tail[0] and dual[2] is tail[1], (lam, e)
+    assert memo().hits > 0 and memo().maxsize == engine.SYMBOL_MEMO_SIZE
+    # a chain longer than the memo is entered from the bottom up and its
+    # cells compare in one frame
+    symbol, dual = engine._symbol_entry(minimal_bits((5000,)), 2)
+    assert crystal_reference.columns(symbol) == crystal_reference.columns(dual) == [(2, 1)] * 2500
+    assert engine._same_columns(symbol, dual)
+    assert not engine._same_columns(symbol, dual[2]) and not engine._same_columns(symbol[2], dual)
+    assert not engine._same_columns(symbol, (2, 1, dual[2][2])) and not engine._same_columns(symbol, (2, 2, dual[2]))
+    assert memo().currsize == engine.SYMBOL_MEMO_SIZE
+
+
+def test_symbol_memo_cold_and_warm_give_the_same_document(cold_symbols, monkeypatch):
+    # a wrong image puts a mismatch in the document; every partition here has
+    # an entry, and a cold sweep removes each nonempty one's rim exactly once
+    give_wrong_image(monkeypatch, (3, 1), 3, (4,))
+    rim = kernels.remove_e_rim
+    rims = []
+
+    def counted(x, e):
+        rims.append((x, e))
+        return rim(x, e)
+
+    monkeypatch.setattr(kernels, "remove_e_rim", counted)
+    grid = [(x, e) for e in (2, 3, 4, 5) for n in range(1, 15) for _, x in enumerate_e_regular_bits(n, e)]
+    assert len(grid) < engine.SYMBOL_MEMO_SIZE
+    cold = json.dumps(cross_validate([2, 3, 4, 5], 14).to_document())
+    assert sorted(rims) == sorted(grid)
+    warm = json.dumps(cross_validate([2, 3, 4, 5], 14).to_document())
+    assert len(rims) == len(grid)
+    assert warm == cold
+    assert '"kind": "mullineux_mismatch"' in cold
 
 
 def test_oracle_error_on_the_mismatch_path_is_a_counterexample(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mullineux import engine
 from mullineux._core import kernels
 from mullineux.betamaps import psi_step, psi_step_inverse
 from mullineux.engine import conjecture_tower, mullineux_conjectural
@@ -30,9 +31,12 @@ from mullineux.partitions import (
     enumerate_partitions,
     is_e_core,
     is_e_regular,
+    minimal_bits,
+    partition_from_bits,
 )
 
 from conftest import partitions
+import crystal_reference
 from crystal_reference import (
     addable_nodes,
     good_addable,
@@ -332,8 +336,6 @@ def test_modulus_below_two_is_refused():
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 psi_step_inverse(e, beta_set(lam, 1), beta_set(lam, 1))
             with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
-                kernels.e_rim_symbol(lam, e)
-            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {e}"):
                 mullineux_conjectural(lam, e)
 
 
@@ -341,19 +343,27 @@ def test_modulus_below_two_is_refused():
 # the e-rim symbol check
 
 
+def symbols(lam, e):
+    """lam's e-rim symbol and its dual as lists of columns (A, R), read off
+    the memo entry the symbol check reads."""
+    symbol, dual = engine._symbol_entry(minimal_bits(lam), e)
+    return crystal_reference.columns(symbol), crystal_reference.columns(dual)
+
+
 def assert_passes_the_symbol_check(lam, e):
     """The check cross-validation runs, on Kleshchev's image of lam: it is
     e-regular and its e-rim symbol is the dual of lam's."""
     image = kernels.mullineux(lam, e)
     assert is_e_regular(image, e), (lam, e)
-    assert kernels.e_rim_symbol(image, e) == kernels.dual_symbol(kernels.e_rim_symbol(lam, e), e), (lam, e)
+    symbol = engine._symbol_entry(minimal_bits(image), e)[0]
+    assert engine._same_columns(symbol, engine._symbol_entry(minimal_bits(lam), e)[1]), (lam, e)
 
 
 def remove_rim(lam, e):
-    """(rest, nodes removed) of lam's e-rim."""
-    rest = list(lam)
-    size = kernels._remove_rim(rest, e)
-    return tuple(rest), size
+    """(rest, nodes removed) of lam's e-rim, by the bitset kernel."""
+    size, rows, rest = kernels.remove_e_rim(minimal_bits(lam), e)
+    assert rows == len(lam), (lam, e)
+    return partition_from_bits(rest), size
 
 
 def brute_force_e_rim(lam, e):
@@ -402,13 +412,29 @@ SYMBOL_GRID = [
 
 
 def test_remove_e_rim_matches_the_diagram():
+    # the kernel needs a partition with a rim, so rank 0 is left out
     for e in range(2, 6):
-        for n in range(15):
+        for n in range(1, 15):
             for lam in enumerate_partitions(n):
-                rest, size = remove_rim(lam, e)
                 rim = brute_force_e_rim(lam, e)
-                assert diagram(rest) == diagram(lam) - rim
-                assert size == len(rim)
+                for rest, size in (remove_rim(lam, e), crystal_reference.remove_rim(lam, e)):
+                    assert diagram(rest) == diagram(lam) - rim, (lam, e)
+                    assert size == len(rim), (lam, e)
+
+
+def test_bitset_rim_matches_the_row_by_row_reference():
+    # every e-regular partition of rank <= 20 at e = 2..5, then every
+    # partition of rank <= 15 at e = 2..5, rims and whole symbols
+    grid = [(lam, e) for lam, e in SYMBOL_GRID if e <= 5]
+    grid += [(lam, e) for e in range(2, 6) for n in range(16) for lam in enumerate_partitions(n)]
+    assert len(grid) == 4803 + 4 * 684
+    for lam, e in grid:
+        symbol, dual = symbols(lam, e)
+        assert symbol == crystal_reference.e_rim_symbol(lam, e), (lam, e)
+        assert dual == crystal_reference.dual_symbol(symbol, e), (lam, e)
+        if lam:
+            rest, size = crystal_reference.remove_rim(lam, e)
+            assert kernels.remove_e_rim(minimal_bits(lam), e) == (size, len(lam), minimal_bits(rest)), (lam, e)
 
 
 def test_symbol_matches_kleshchev():
@@ -435,10 +461,10 @@ def test_symbol_check_accepts_exactly_the_rebuilt_image():
         for n in range(19):
             seen = {}
             for lam in enumerate_e_regular(n, e):
-                symbol = kernels.e_rim_symbol(lam, e)
-                dual = kernels.dual_symbol(symbol, e)
-                assert kernels.dual_symbol(dual, e) == symbol, (lam, e)
-                assert kernels.e_rim_symbol(kernels.mullineux(lam, e), e) == dual, (lam, e)
+                symbol, dual = symbols(lam, e)
+                assert crystal_reference.dual_symbol(symbol, e) == dual, (lam, e)
+                assert crystal_reference.dual_symbol(dual, e) == symbol, (lam, e)
+                assert symbols(kernels.mullineux(lam, e), e)[0] == dual, (lam, e)
                 assert seen.setdefault(tuple(symbol), lam) == lam, (lam, seen[tuple(symbol)], e)
                 checked += 1
     assert checked == 5693  # Glaisher: as many as partitions with no part divisible by e
