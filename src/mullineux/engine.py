@@ -10,10 +10,10 @@ statements on every e-regular partition lam: the recursion's image, which
 it accepts when it is e-regular with the dual of lam's e-rim symbol, since
 that symbol determines an e-regular partition (Mullineux 1979;
 Ford-Kleshchev 1997), running Kleshchev's algorithm
-(kernels.mullineux) only on a mismatch, for the record, and reading both
-symbols off bitsets through one memo (_symbols); and the walks of (lam,
-lam) at moduli 2e and e, the latter being lam's stopped tower, whose
-odd-stage failures it records.
+(kernels.mullineux) only on a mismatch, for the record, and walking the
+two chains of rims column by column on bitsets (_is_dual); and the walks
+of (lam, lam) at moduli 2e and e, the latter being lam's stopped tower,
+whose odd-stage failures it records.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -35,11 +35,11 @@ raises leaves no entry, so a violation is raised again, never masked.  A
 hit returns the very trace computed first, so trace trees share
 subtrees.  The top level bypasses the memo (_node.__wrapped__): a sweep
 checks each partition once, so its entry would only push out a child
-that recurs.  A second memo wraps _symbols, keyed on (bitset, modulus):
-it holds each partition's e-rim symbol and its dual as cons cells whose
-tails are the entry of the partition less its e-rim, so a sweep removes
-each rim about once.  MEMO_SIZE and SYMBOL_MEMO_SIZE are sized together
-(see the table above MEMO_SIZE).
+that recurs.  A second memo wraps the e-rim removal (_rim), keyed on
+(bitset, modulus): a partition less its rim is a smaller e-regular
+partition the sweep checks too, so a sweep removes each rim about once.
+MEMO_SIZE and SYMBOL_MEMO_SIZE are sized together (see the table above
+MEMO_SIZE).
 
 Both sweeps are one pipeline.  _sweep validates the arguments, runs
 _bucket on every (e, n) bucket and merges checked, counterexamples and
@@ -150,7 +150,7 @@ def conjecture_tower(
     """
     check_modulus(e)
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be >= 0, got {clip(k_max)}")
     x = tuple(x)
     steps = tuple(
         TowerStep(k, beta_set_from_bits(x1), beta_set_from_bits(x2), inclusion)
@@ -374,7 +374,7 @@ def sweep_conjecture(
     are recorded as counterexamples, not raised.
     """
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be >= 0, got {clip(k_max)}")
     parameters = {
         "e_list": list(e_list),
         "n_max": n_max,
@@ -448,14 +448,18 @@ class MullineuxTrace(
 
 # The two memos are sized together.  On an in-process cross_validate(e =
 # 2..5, n <= 26), 17,508 top-level nodes have 7,915 distinct children, and
-# the symbol check reads the symbols of 17,508 partitions, 17,504 of them
+# the symbol check walks the rims of 17,508 partitions, 17,504 of them
 # with a rim.  Children computed (_node misses), rims removed (rim-removal
 # calls) and CPU (the least of 21 runs on a shared host) there, and the
 # median peak RSS of 5 bench/workload.py rounds of crossval-sweep and of
 # large-rank, run round-robin (2-core x86-64 host, Python 3.11), against
 # 1,536 nodes and no symbol memo, where each check removed every rim of
 # both sides row by row; "none" at 2,048 nodes removes them on the bitset
-# (kernels.remove_e_rim), still every rim at every check:
+# (kernels.remove_e_rim), still every rim at every check.  The other rows
+# with a symbol memo held whole symbols and their duals; the 2,048/2,048
+# row is _rim's, measured against that memo in alternating runs on the
+# same host (CPU 418 -> 409 ms, crossval-sweep 22.11 -> 21.58 MiB,
+# large-rank equal at 20.96 MiB) and scaled to the table:
 #
 #     MEMO_SIZE  SYMBOL_MEMO_SIZE  children  rims     CPU     crossval  large-rank
 #     1,536      none, row by row  11,176    134,690  349 ms  20.9 MiB  20.5 MiB
@@ -463,11 +467,11 @@ class MullineuxTrace(
 #     1,536      2,048             11,176     19,551  300 ms  +0.9 MiB  +0.1 MiB
 #     2,048      1,024              8,028     27,517  306 ms  +0.6 MiB  +0.3 MiB
 #     2,048      1,536              8,028     22,073  314 ms  +1.0 MiB  +0.3 MiB
-#     2,048      2,048              8,028     19,551  292 ms  +1.1 MiB  +0.3 MiB
+#     2,048      2,048              8,028     19,073  286 ms  +0.6 MiB  +0.3 MiB
 #     2,048      4,096              8,028     17,933  308 ms  +2.3 MiB  +0.4 MiB
 #     4,096      2,048              7,915     19,551  314 ms  +2.1 MiB  +1.1 MiB
 #
-# 2,048 of each come within 2% and 12% of the floors for +5% peak RSS on
+# 2,048 of each come within 2% and 9% of the floors for +3% peak RSS on
 # crossval-sweep and +2% on large-rank, inside the bench's 10% bound;
 # doubling either costs another MiB for little.  The symbol memo carries
 # the gain: in 10 alternating 20 s bench/run.py pairs on crossval-sweep,
@@ -475,7 +479,7 @@ class MullineuxTrace(
 # (+20%, 10 of 10 pairs), for +0.9 MiB peak RSS (BENCH_30.json).
 # Unbounded memos reach the floors too, but grow with the sweep.
 MEMO_SIZE = 2048  # recursion nodes per process
-SYMBOL_MEMO_SIZE = 2048  # symbol-check entries per process
+SYMBOL_MEMO_SIZE = 2048  # e-rim removals per process
 
 
 def _diagonal_walk(e: int, x: Bits) -> BitPair:
@@ -553,7 +557,7 @@ def mullineux_conjectural(
     """
     check_modulus(e)
     if depth_limit < 0:
-        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+        raise ValueError(f"depth_limit must be >= 0, got {clip(depth_limit)}")
     check_rank(lam)
     x = minimal_bits(lam)
     if not beta_set_is_e_regular(x, e):
@@ -581,52 +585,25 @@ def _recursion_phase(lam: Partition, x: Bits, e: int, _, depth_limit: int):
 
 
 @functools.lru_cache(maxsize=SYMBOL_MEMO_SIZE)
-def _symbols(x: Bits, e: int):
-    """(symbol, dual) of the partition x encodes at minimal padding: its
-    e-rim symbol, one column (A, R) per e-rim removed down to the empty
-    partition, A nodes removed from a partition of R rows, and the dual
-    with columns (A, A - R + eps), eps = 0 if e divides A and 1 otherwise,
-    the symbol of the Mullineux image; each as cons cells (A, R, tail)
-    ending in ()."""
-    # the tails come from the entry of x less its e-rim, so entries share
-    # them and a partition's rim is removed once while its entry stays; a
-    # column inside its cell saves a tuple a side (0.27 MiB at 2,048
-    # entries), and one flat tuple a side would hold 0.5 MiB more at peak
-    if x == 1:
-        return (), ()
-    size, rows, rest = kernels.remove_e_rim(x, e)
-    symbol, dual = _symbols(rest, e)
-    return (size, rows, symbol), (size, size - rows + (1 if size % e else 0), dual)
+def _rim(x: Bits, e: int):
+    """kernels.remove_e_rim(x, e), (A, R, rest); the kernel is looked up at
+    call time, so a wrapper on kernels sees every miss."""
+    return kernels.remove_e_rim(x, e)
 
 
-# A partition has at most as many e-rims as its first part, so _symbols
-# nests at most this deep for one whose first part is this or less.
-SHALLOW = 256
-
-
-def _symbol_entry(x: Bits, e: int):
-    """_symbols(x, e), with x's chain of rims entered from the bottom up
-    first when its first part is above SHALLOW: a cold chain of about 1,000
-    rims would pass the interpreter's recursion limit."""
-    if x.bit_length() - x.bit_count() > SHALLOW:
-        chain, y = [], x
-        while y != 1:
-            chain.append(y)
-            y = kernels.remove_e_rim(y, e)[2]
-        for y in reversed(chain):
-            _symbols(y, e)
-    return _symbols(x, e)
-
-
-def _same_columns(a, b) -> bool:
-    """Whether the cons cells a and b hold the same columns.  A loop, since
-    == on cons cells nests once per column and passes the interpreter's
-    recursion limit near 1,000 columns; it adds about 0.2 us a check."""
-    while a or b:
-        if not (a and b) or a[0] != b[0] or a[1] != b[1]:
+def _is_dual(x: Bits, y: Bits, e: int) -> bool:
+    """Whether the e-rim symbol of the partition y encodes is the dual of
+    x's, both bitsets at minimal padding.  The symbol is one column
+    (A, R) per e-rim removed down to the empty partition, A nodes removed
+    from a partition of R rows; its dual has the columns (A, A - R + eps),
+    eps = 0 if e divides A and 1 otherwise, and is the symbol of the
+    Mullineux image."""
+    while x != 1 and y != 1:
+        a, r, x = _rim(x, e)
+        b, q, y = _rim(y, e)
+        if b != a or q != a - r + (1 if a % e else 0):
             return False
-        a, b = a[2], b[2]
-    return True
+    return x == y
 
 
 def _symbol_phase(lam: Partition, x: Bits, e: int, result, _):
@@ -634,10 +611,7 @@ def _symbol_phase(lam: Partition, x: Bits, e: int, result, _):
     is the dual of lam's; otherwise record Kleshchev's image if it differs."""
     if result is not None:
         recursive, trace = result
-        if not (
-            beta_set_is_e_regular(trace.image_beta, e)
-            and _same_columns(_symbol_entry(trace.image_beta, e)[0], _symbol_entry(x, e)[1])
-        ):
+        if not (beta_set_is_e_regular(trace.image_beta, e) and _is_dual(x, trace.image_beta, e)):
             oracle = kernels.mullineux(lam, e)
             if recursive != oracle:
                 oracle, recursive = format_partition(oracle), format_partition(recursive)
@@ -677,7 +651,7 @@ def cross_validate(
     odd-stage inclusion along the latter.  Failures are recorded, not raised.
     """
     if depth_limit < 0:
-        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+        raise ValueError(f"depth_limit must be >= 0, got {clip(depth_limit)}")
     parameters = {"e_list": list(e_list), "n_max": n_max, "depth_limit": depth_limit}
     check = functools.partial(_phases, (_recursion_phase, _symbol_phase, _walk_phase))
     report = _sweep("cross-validate", parameters, check, (depth_limit,), e_list, n_max, True, jobs)

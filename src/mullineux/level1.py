@@ -36,7 +36,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from mullineux._core import kernels
-from mullineux.errors import NotRegularError, check_modulus
+from mullineux.errors import NotRegularError, check_modulus, clip
 from mullineux.partitions import Partition, check_rank, enumerate_e_regular, partition_text
 
 
@@ -119,7 +119,7 @@ class CrystalGraph(NamedTuple):
 def crystal_graph(e: int, n_max: int) -> CrystalGraph:
     """Build the level-1 crystal on e-regular partitions of rank <= n_max."""
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"n_max must be >= 0, got {clip(n_max)}")
     vertices = []
     for n in range(n_max + 1):
         vertices.extend(enumerate_e_regular(n, e))

@@ -145,16 +145,6 @@ def dual_symbol(columns: list[tuple[int, int]], e: int) -> list[tuple[int, int]]
     return [(size, size - rows + (1 if size % e else 0)) for size, rows in columns]
 
 
-def columns(cells) -> list[tuple[int, int]]:
-    """The columns (A, R) of a symbol held as cons cells (A, R, tail), the
-    form engine._symbols keeps."""
-    out = []
-    while cells:
-        size, rows, cells = cells
-        out.append((size, rows))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the greedy matching of the beta-set step
 

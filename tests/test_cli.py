@@ -117,6 +117,21 @@ def test_echoed_input_is_clipped(capsys):
         code, out, err = run_cli(capsys, "mull", "--e", "2", "--lambda", lam)
         assert (code, out) == (1, ""), lam[:10]
         assert len(err.encode()) <= 300 and says in err, err[:400]
+    # a negative 4,000-digit int option parses, and the range check echoes it
+    minus = f"-{big}"
+    clipped = "got -99999999999999999999... (4000 digits)"
+    for argv, says in (
+        (["verify-conjecture", "--max-k", minus], f"k_max must be >= 0, {clipped}"),
+        (["cross-validate", "--depth-limit", minus], f"depth_limit must be >= 0, {clipped}"),
+        (["mull", "--method", "recursive", "--e", "2", "--lambda", "1", "--depth-limit", minus],
+         f"depth_limit must be >= 0, {clipped}"),
+        (["crystal-export", "--e", "2", "--max-n", minus], f"n_max must be >= 0, {clipped}"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert len(err.encode()) <= 300 and says in err, err[:400]
+    with pytest.raises(ValueError, match=r"k_max must be >= 0, got -99999999999999999999\.\.\. \(4000 digits\)$"):
+        cli.engine.conjecture_tower(2, (0,), -int(big))
     with pytest.raises(ValueError, match=r"positive, got -99999999999999999999\.\.\. \(4000 digits\)$"):
         as_partition([2, -int(big)])
 
@@ -326,7 +341,7 @@ def test_sweep_error_exits_two(capsys, monkeypatch):
         raise RuntimeError("broken check")
 
     monkeypatch.setattr(cli.engine, "_tower", broken)
-    monkeypatch.setattr(cli.engine, "_symbols", broken)
+    monkeypatch.setattr(cli.engine, "_is_dual", broken)
     for command in ("verify-conjecture", "cross-validate"):
         code, out, _ = run_cli(capsys, command, "--e", "3", "--max-n", "1", "--jobs", "1")
         assert code == 2

@@ -723,14 +723,12 @@ def fail_on(monkeypatch, module, name, args, exc):
             "3,1",
             id="tower",
         ),
-        # the sweep reads the symbol memo's entries of lam and of its image, so
-        # the fault is on a partition that is its own image, (3,1,1) at e = 3;
-        # the clean run leaves every entry in the memo, so no larger
-        # partition asks for (3,1,1)'s entry as its tail
+        # the symbol check of lam, (3,1,1), which is not 2-regular, so only
+        # its check at e = 3 raises
         pytest.param(
             lambda jobs: cross_validate([2, 3], 7, jobs=jobs),
-            (engine, "_symbols"),
-            (beta_bits((3, 1, 1), 3), 3),
+            (engine, "_is_dual"),
+            (beta_bits((3, 1, 1), 3),),
             ValueError("bad part"),
             "3,1,1",
             id="e-rim-symbol",
@@ -742,26 +740,6 @@ def test_unexpected_exception_is_a_counterexample(sweep, target, args, exc, part
     assert clean.verified
     fail_on(monkeypatch, *target, args, exc)
     assert_only_error([sweep(jobs) for jobs in (1, 2)], clean, partition, exc)
-
-
-def fail_on_dual(monkeypatch, x, e, exc):
-    """Make reading the dual off the symbol memo's entry for (x, e) raise
-    exc: the symbol check's side of lam, when x is lam's bitset.  The side
-    of an image reads the symbol, and a memo miss unpacks its tail's entry,
-    so neither raises."""
-    symbols = engine._symbols
-
-    class Entry(tuple):
-        def __getitem__(self, i):
-            if i == 1:
-                raise exc
-            return tuple.__getitem__(self, i)
-
-    def faulty(*args):
-        entry = symbols(*args)
-        return Entry(entry) if args == (x, e) else entry
-
-    monkeypatch.setattr(engine, "_symbols", faulty)
 
 
 def assert_only_error(reports, clean, partition, exc, e=3):
@@ -790,7 +768,7 @@ def in_sweep_order(records, e_list, n_max):
 # with CHUNK = 3 the e = 3, n = 7 bucket is chunked (7) (6,1) (5,2) | (5,1,1) (4,3)
 # (4,2,1) | (3,3,1) (3,2,2) (3,2,1,1); at depth_limit=1 all but (5,1,1) and (3,2,2)
 # are depth_exceeded, so a fault in the walks replaces a record, and the symbol
-# check, which needs a trace, is faulted on those two
+# check, which needs a trace, is faulted on those two; neither is 2-regular
 @pytest.mark.parametrize(
     "phase, lam",
     [
@@ -812,7 +790,7 @@ def test_a_fault_in_one_phase_is_one_error_record(phase, lam, monkeypatch):
     if phase == "recursion":
         fail_on(monkeypatch, engine, "mullineux_conjectural", (lam, 3), exc)
     elif phase == "symbol":
-        fail_on_dual(monkeypatch, x, 3, exc)
+        fail_on(monkeypatch, engine, "_is_dual", (x,), exc)
     else:
         fail_on(monkeypatch, engine, "_tower", (3, x), exc)
     tower, towers = engine._tower, []
@@ -889,42 +867,50 @@ def test_wrong_image_is_a_mullineux_mismatch(wrong, monkeypatch):
 
 
 @pytest.fixture
-def cold_symbols():
-    """Start from an empty symbol memo and leave none of this test's entries behind."""
-    engine._symbols.cache_clear()
+def cold_rims():
+    """Start from an empty rim memo and leave none of this test's entries behind."""
+    engine._rim.cache_clear()
     yield
-    engine._symbols.cache_clear()
+    engine._rim.cache_clear()
 
 
-def test_symbol_memo_holds_each_symbol_and_its_dual(cold_symbols):
-    # in sweep order each partition is new and its cells' tails are the
-    # entry of the partition less its rim, which the memo holds
-    memo = engine._symbols.cache_info
+def test_is_dual_matches_the_reference_symbols(cold_rims):
+    # every e-regular partition of rank <= 16 at e = 2..5 against every one
+    # of its rank, and of rank <= 8 against every one of rank <= 8, where a
+    # symbol can be the other's dual with columns added at the end; the dual
+    # of a symbol is the symbol of exactly one e-regular partition
+    memo = engine._rim.cache_info
     for e in (2, 3, 4, 5):
-        for n in range(17):
-            for lam, x in enumerate_e_regular_bits(n, e):
-                symbol, dual = engine._symbols(x, e)
-                expected = crystal_reference.e_rim_symbol(lam, e)
-                assert crystal_reference.columns(symbol) == expected, (lam, e)
-                assert crystal_reference.columns(dual) == crystal_reference.dual_symbol(expected, e), (lam, e)
-                if lam:
-                    rest = kernels.remove_e_rim(x, e)[2]
-                    tail = engine._symbols(rest, e)
-                    assert symbol[2] is tail[0] and dual[2] is tail[1], (lam, e)
+        buckets = [list(enumerate_e_regular_bits(n, e)) for n in range(17)]
+        symbol = {x: crystal_reference.e_rim_symbol(lam, e) for bucket in buckets for lam, x in bucket}
+        for n, bucket in enumerate(buckets):
+            partners = [y for m in (range(9) if n <= 8 else (n,)) for _, y in buckets[m]]
+            for lam, x in bucket:
+                dual = crystal_reference.dual_symbol(symbol[x], e)
+                images = [y for y in partners if engine._is_dual(x, y, e)]
+                assert images == [y for y in partners if symbol[y] == dual], (lam, e)
+                assert len(images) == 1, (lam, e)
     assert memo().hits > 0 and memo().maxsize == engine.SYMBOL_MEMO_SIZE
-    # a chain longer than the memo is entered from the bottom up and its
-    # cells compare in one frame
-    symbol, dual = engine._symbol_entry(minimal_bits((5000,)), 2)
-    assert crystal_reference.columns(symbol) == crystal_reference.columns(dual) == [(2, 1)] * 2500
-    assert engine._same_columns(symbol, dual)
-    assert not engine._same_columns(symbol, dual[2]) and not engine._same_columns(symbol[2], dual)
-    assert not engine._same_columns(symbol, (2, 1, dual[2][2])) and not engine._same_columns(symbol, (2, 2, dual[2]))
+    # the empty partition against (1,), one extra column either way, a wrong
+    # R, and the image the last two miss
+    assert not engine._is_dual(1, minimal_bits((1,)), 2) and not engine._is_dual(minimal_bits((1,)), 1, 2)
+    assert not engine._is_dual(minimal_bits((2,)), minimal_bits((3,)), 2)
+    assert not engine._is_dual(minimal_bits((3,)), minimal_bits((2,)), 2)
+    assert not engine._is_dual(minimal_bits((3, 1)), minimal_bits((3, 1)), 3)
+    assert engine._is_dual(minimal_bits((3, 1)), minimal_bits((2, 1, 1)), 3)
+    # a chain longer than the memo, cold, in one frame: (10000,) is its own
+    # image at e = 2, with 5,000 columns (2, 1), and (9998,) has one fewer
+    engine._rim.cache_clear()
+    row = minimal_bits((10000,))
+    assert engine._is_dual(row, row, 2)
     assert memo().currsize == engine.SYMBOL_MEMO_SIZE
+    assert not engine._is_dual(minimal_bits((9998,)), row, 2) and not engine._is_dual(row, minimal_bits((9998,)), 2)
 
 
-def test_symbol_memo_cold_and_warm_give_the_same_document(cold_symbols, monkeypatch):
-    # a wrong image puts a mismatch in the document; every partition here has
-    # an entry, and a cold sweep removes each nonempty one's rim exactly once
+def test_symbol_memo_cold_and_warm_give_the_same_document(cold_rims, monkeypatch):
+    # a wrong image puts a mismatch in the document; the memo holds every
+    # rim here, and a cold sweep removes each nonempty partition's rim
+    # exactly once
     give_wrong_image(monkeypatch, (3, 1), 3, (4,))
     rim = kernels.remove_e_rim
     rims = []
