@@ -9,11 +9,11 @@ the one the full towers give.  The cross-validation sweep checks three
 statements on every e-regular partition lam: the recursion's image, which
 it accepts when it is e-regular with the dual of lam's e-rim symbol, since
 that symbol determines an e-regular partition (Mullineux 1979;
-Ford-Kleshchev 1997), running Kleshchev's algorithm
-(kernels.mullineux) only on a mismatch, for the record, and walking the
-two chains of rims column by column on bitsets (_is_dual); and the walks
-of (lam, lam) at moduli 2e and e, the latter being lam's stopped tower,
-whose odd-stage failures it records.
+Ford-Kleshchev 1997), running Kleshchev's algorithm (kernels.mullineux)
+and decoding the image only on a mismatch, for the record, and walking
+the two chains of rims column by column on bitsets (_is_dual); and the
+walks of (lam, lam) at moduli 2e and e, the latter being lam's stopped
+tower, whose odd-stage failures it records.
 
 The recursive algorithm computes the Mullineux image of an e-regular
 partition from the involution at modulus 2e: take the stabilized isomorphism
@@ -24,8 +24,7 @@ components, which must agree.  Conjugation of e-cores is the base case.
 Towers and recursion hold a beta-set as an int bitset, bit b set iff b is
 a bead (see mullineux._core.kernels), at minimal padding
 (partitions.minimal_bits).  A MullineuxTrace stores bitsets and decodes
-its partition fields only when they are read; the sweeps decode only what
-a report prints.
+its partition fields only when they are read.
 
 Each process keeps a least-recently-used memo of recursion nodes below
 the top level, functools.lru_cache on _node, keyed on everything a node's
@@ -49,15 +48,16 @@ bucket's partitions, each lam with x, its bitset at minimal padding
 to check(chunk, e, *params), chunk a list of (lam, x), which returns
 failure dicts in partition order.  A sweep's check is _phases over its
 phases, the stopped tower for verify-conjecture, and for cross-validate
-the recursion, the symbol check and the walks.  Each phase runs over the
-whole chunk before the next starts, which keeps one phase's code and data
-hot; each partition gets the same kernel calls and memo traffic, in the
-same order, as in one pass.  _phases alone catches a check's exception:
-the partition gets one failure of kind "error" in place of its others
-and leaves the later phases, and the sweep goes on.  A chunk bounds the
-memory a bucket holds (e = 5, rank 30 has 327,805 partitions).  Median
-CPU time of an in-process cross_validate(e=2..5, n<=26) over 9
-alternating runs (2-core x86-64 host, Python 3.11):
+the recursion's top-level node on x, the symbol check and the walks.
+Each phase runs over the whole chunk before the next starts, which keeps
+one phase's code and data hot; each partition gets the same kernel calls
+and memo traffic, in the same order, as in one pass.  _phases alone
+catches a check's exception: the partition gets one failure of kind
+"error" in place of its others and leaves the later phases, and the sweep
+goes on.  A chunk bounds the memory a bucket holds (e = 5, rank 30 has
+327,805 partitions).  Median CPU time of an in-process
+cross_validate(e=2..5, n<=26) over 9 alternating runs (2-core x86-64
+host, Python 3.11):
 
     CHUNK         1     16    64    256   whole bucket
     time, ms      844   624   577   550   565
@@ -562,8 +562,7 @@ def mullineux_conjectural(
     x = minimal_bits(lam)
     if not beta_set_is_e_regular(x, e):
         raise NotRegularError(f"{partition_text(lam)} is not {e}-regular")
-    # the top level bypasses the memo: a sweep checks each partition once, so
-    # its entry would never be hit and would only push out a child's entry
+    # the top level bypasses the memo (see the module docstring)
     trace = _node.__wrapped__(x, e, 0, depth_limit, oracle_fallback)
     return trace.image, trace
 
@@ -573,13 +572,13 @@ def mullineux_conjectural(
 
 
 def _recursion_phase(lam: Partition, x: Bits, e: int, _, depth_limit: int):
-    """The recursion's (image, trace), or its violation or depth record."""
-    # looked up at call time, so a wrapper on the module sees every call
+    """The recursion's trace, or its violation or depth record."""
+    # the top level on the enumerator's bitset, looked up at call time
     try:
-        return (), mullineux_conjectural(lam, e, depth_limit=depth_limit)
-    except ConjectureViolationError as exc:
-        trace_doc = exc.trace.to_dict() if exc.trace is not None else None
-        return [_failure(lam, e, kind="conjecture_violation", detail=str(exc), trace=trace_doc)], None
+        return (), _node.__wrapped__(x, e, 0, depth_limit, False)
+    except ConjectureViolationError as exc:  # _violation's, which carries a trace
+        trace = exc.trace.to_dict()
+        return [_failure(lam, e, kind="conjecture_violation", detail=str(exc), trace=trace)], None
     except DepthExceededError as exc:
         return [_failure(lam, e, kind="depth_exceeded", detail=str(exc))], None
 
@@ -606,25 +605,24 @@ def _is_dual(x: Bits, y: Bits, e: int) -> bool:
     return x == y
 
 
-def _symbol_phase(lam: Partition, x: Bits, e: int, result, _):
+def _symbol_phase(lam: Partition, x: Bits, e: int, trace, _):
     """Accept the recursion's image when it is e-regular and its e-rim symbol
     is the dual of lam's; otherwise record Kleshchev's image if it differs."""
-    if result is not None:
-        recursive, trace = result
+    if trace is not None:
         if not (beta_set_is_e_regular(trace.image_beta, e) and _is_dual(x, trace.image_beta, e)):
-            oracle = kernels.mullineux(lam, e)
+            oracle, recursive = kernels.mullineux(lam, e), trace.image
             if recursive != oracle:
                 oracle, recursive = format_partition(oracle), format_partition(recursive)
-                return [_failure(lam, e, kind="mullineux_mismatch", oracle=oracle, recursive=recursive)], result
-    return (), result
+                return [_failure(lam, e, kind="mullineux_mismatch", oracle=oracle, recursive=recursive)], trace
+    return (), trace
 
 
-def _walk_phase(lam: Partition, x: Bits, e: int, result, _):
+def _walk_phase(lam: Partition, x: Bits, e: int, trace, _):
     """The walks of (lam, lam) at moduli 2e and e against each other, and
     odd-stage inclusion along the latter, lam's tower."""
     # except at an e-core or when it raised, the recursion already walked
     # (lam, lam) at modulus 2e
-    double = result[1].mu_beta if result is not None else None
+    double = trace.mu_beta if trace is not None else None
     if double is None:
         double = _diagonal_walk(e, x)
     # the walk at modulus e takes the tower's steps, and the tower meets the

@@ -61,6 +61,8 @@ MUTANTS = [
     ("top-level-node-memoized", ENGINE,
      "    trace = _node.__wrapped__(x, e, 0, depth_limit, oracle_fallback)",
      "    trace = _node(x, e, 0, depth_limit, oracle_fallback)", ENGINE_TESTS),
+    ("sweep-top-level-node-memoized", ENGINE,
+     "_node.__wrapped__(x, e, 0, depth_limit, False)", "_node(x, e, 0, depth_limit, False)", ENGINE_TESTS),
     ("even-stage-failures-recorded", ENGINE,
      "        if k % 2 and not inclusion:", "        if not k % 2 and not inclusion:", ENGINE_TESTS),
     ("towers-stop-at-stage-5", ENGINE,

@@ -504,6 +504,76 @@ def test_memo_holds_no_top_level_node(cold_memo):
     assert engine._node.cache_info().currsize > 0
 
 
+def test_sweep_memoizes_no_top_level_node(cold_memo):
+    # the sweep's top level bypasses the memo too, so a cold sweep computes
+    # exactly the children that mullineux_conjectural computes on its grid
+    cross_validate([2, 3], 10)
+    swept = engine._node.cache_info().misses
+    engine._node.cache_clear()
+    for e in (2, 3):
+        for n in range(11):
+            for lam in enumerate_e_regular(n, e):
+                mullineux_conjectural(lam, e)
+    assert swept == engine._node.cache_info().misses > 0
+
+
+def test_sweep_enters_the_top_level_node_on_its_bitset(monkeypatch):
+    # the sweep neither re-validates nor re-encodes lam, and a clean sweep
+    # decodes no image; the top level sees each partition once
+    calls = {"mullineux_conjectural": 0, "partition_from_bits": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def spied(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, spied)
+    top, seen = engine._node.__wrapped__, []
+
+    def spied_top(x, e, *args):
+        seen.append((x, e))
+        return top(x, e, *args)
+
+    monkeypatch.setattr(engine._node, "__wrapped__", spied_top)
+    report = cross_validate([2, 3, 4, 5], 14)
+    assert report.verified
+    assert calls == {"mullineux_conjectural": 0, "partition_from_bits": 0}
+    grid = [(x, e) for e in (2, 3, 4, 5) for n in range(15) for _, x in enumerate_e_regular_bits(n, e)]
+    assert seen == grid and report.checked == len(grid)
+
+
+def test_recursion_phase_matches_mullineux_conjectural():
+    # the same trace, or the record of the same violation or depth limit
+    for e in (2, 3, 4, 5):
+        for n in range(13):
+            for lam, x in enumerate_e_regular_bits(n, e):
+                for depth_limit in (0, 1, 16):
+                    failures, trace = engine._recursion_phase(lam, x, e, None, depth_limit)
+                    try:
+                        _, expected = mullineux_conjectural(lam, e, depth_limit=depth_limit)
+                    except DepthExceededError as exc:
+                        record = {"e": e, "partition": format_partition(lam), "kind": "depth_exceeded"}
+                        assert (failures, trace) == ([{**record, "detail": str(exc)}], None)
+                        continue
+                    assert (failures, trace) == ((), expected), (lam, e, depth_limit)
+                    assert trace.to_dict() == expected.to_dict()
+
+
+def test_sweep_records_each_violation_with_its_trace(cold_memo, disagreeing_walk):
+    expected = []
+    for n in range(9):
+        for lam in enumerate_e_regular(n, 3):
+            try:
+                mullineux_conjectural(lam, 3)
+            except ConjectureViolationError as exc:
+                record = {"e": 3, "partition": format_partition(lam), "kind": "conjecture_violation"}
+                expected.append({**record, "detail": str(exc), "trace": exc.trace.to_dict()})
+    assert len(expected) > 10
+    violations = [c for c in cross_validate([3], 8).counterexamples if c["kind"] == "conjecture_violation"]
+    assert violations == expected
+
+
 def test_memo_answers_every_child_of_a_repeated_call(cold_memo):
     _, first = mullineux_conjectural((6, 5, 2, 2, 1, 1), 3)
     misses = engine._node.cache_info().misses
@@ -788,7 +858,7 @@ def test_a_fault_in_one_phase_is_one_error_record(phase, lam, monkeypatch):
     x = beta_bits(lam, len(lam))
     exc = ValueError("bad part")
     if phase == "recursion":
-        fail_on(monkeypatch, engine, "mullineux_conjectural", (lam, 3), exc)
+        fail_on(monkeypatch, engine._node, "__wrapped__", (x, 3), exc)
     elif phase == "symbol":
         fail_on(monkeypatch, engine, "_is_dual", (x,), exc)
     else:
@@ -833,17 +903,18 @@ def test_chunk_size_leaves_every_document_unchanged(monkeypatch):
 
 
 def give_wrong_image(monkeypatch, lam, e, wrong):
-    """Make engine.mullineux_conjectural answer `wrong` for lam at modulus e,
-    in its return value and in its trace's image."""
-    original = engine.mullineux_conjectural
+    """Make the recursion's top level answer `wrong` for lam at modulus e, in
+    its trace's image.  The sweep and mullineux_conjectural both call
+    engine._node.__wrapped__; the memo's children never do."""
+    original, x = engine._node.__wrapped__, minimal_bits(lam)
 
-    def wrapped(mu, modulus, *args, **kwargs):
-        image, trace = original(mu, modulus, *args, **kwargs)
-        if (mu, modulus) == (lam, e):
-            return wrong, trace._replace(image_beta=beta_bits(wrong, max(1, len(wrong))))
-        return image, trace
+    def wrapped(y, modulus, *args):
+        trace = original(y, modulus, *args)
+        if (y, modulus) == (x, e):
+            return trace._replace(image_beta=minimal_bits(wrong))
+        return trace
 
-    monkeypatch.setattr(engine, "mullineux_conjectural", wrapped)
+    monkeypatch.setattr(engine._node, "__wrapped__", wrapped)
 
 
 # M(3,1) = (2,1,1) at e = 3; (4,) is 3-regular and (1,1,1,1) is not

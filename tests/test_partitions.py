@@ -9,6 +9,7 @@ before (tests/enumerate_reference.py) and a DP count.
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -302,7 +303,8 @@ def test_beta_set_checks_match_the_partition_checks():
                 assert beta_set_is_e_core(x, e) == core, (lam, e, x)
 
 
-WIDE = ((10000,), (1,) * 10000, tuple(range(140, 0, -1)))  # one row, one column, the staircase
+# one row, one column, two long blocks over a long one, the staircase
+WIDE = ((10000,), (1,) * 10000, (5000, 2500, *(1,) * 2500), tuple(range(140, 0, -1)))
 
 
 def check_codec(lam, length):
@@ -333,6 +335,18 @@ def test_codec_on_wide_beta_sets():
             check_codec(lam, length)
         assert is_e_regular(lam, 2) == is_e_regular_by_multiplicities(lam, 2)
     assert conjugate(WIDE[0]) == WIDE[1] and conjugate(WIDE[1]) == WIDE[0]
+
+
+def test_beta_bits_sets_the_formula_bits_of_any_sequence():
+    # exactly the bits lam_j - j + length over the zero tail's staircase,
+    # also where lam is not weakly decreasing and bits coincide
+    for r in range(5):
+        for lam in product(range(4), repeat=r):
+            for length in (r, r + 2):
+                expected = (1 << (length - r)) - 1
+                for j, p in enumerate(lam, 1):
+                    expected |= 1 << (p - j + length)
+                assert beta_bits(lam, length) == expected, (lam, length)
 
 
 def test_bitset_helpers_match_the_tuple_references():
